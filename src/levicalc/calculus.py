@@ -25,8 +25,9 @@ from typing import Sequence
 import numpy as np
 
 from . import field
-from .errors import NoBracket, OrderTooHigh
-from .expr import Const, Expr, Mul, Sub, Var, eval_hyper, eval_real, free_variables, symbolic_derivative
+from .errors import DomainError, LevicalcError, NoBracket, OrderTooHigh
+from .expr import (Const, Expr, Mul, Sub, Var, eval_hyper, eval_real, free_variables, render_expr,
+                   symbolic_derivative)
 from .field import DEFAULT_CONFIG, FieldConfig, LCNumber
 
 DEFAULT_H_SCHEDULE = tuple(1000 * 2 ** k for k in range(7))
@@ -119,11 +120,17 @@ def derivative(f: Expr, x0: float, order: int = 1, var: "str | None" = None,
 
 
 def _leading_order(f: Expr, x: float, var: str, config: FieldConfig) -> int:
-    """Order k of the first nonvanishing derivative beyond f', or 0 if none."""
+    """Order k of the first nonvanishing derivative beyond f', or 0 if none.
+
+    A jet with a term at a fractional order (sqrt(x) at 0 has eps^(1/2)) is
+    not a Taylor jet: f is not smooth at x, and no integer k describes it.
+    """
     try:
         jet = _jet_at(f, x, var, config)
-    except Exception:
+    except LevicalcError:
         return 0
+    if any(not isinstance(q, int) for q, _ in jet.terms):
+        raise DomainError(f"{render_expr(f)} is not smooth at {x}: its jet there is {jet}")
     scale = max(1.0, abs(jet.coefficient(0)), abs(jet.coefficient(1)))
     for m in range(2, config.depth + 1):
         if abs(jet.coefficient(m)) > 1e-12 * scale:
@@ -227,11 +234,15 @@ def mvt_theta_infinitesimal(f: Expr, x: float, h: "LCNumber | None" = None,
     (k+1)-st derivative is the first nonvanishing one past f'; the higher
     coefficients are then produced by a Newton iteration in the field, which
     gains at least one valid order per step (so it is the order-by-order
-    back-substitution, run to the truncation depth).
+    back-substitution, run to the truncation depth).  Past the rounding noise
+    floor Newton only cycles between thetas a rounding step apart, so it
+    stops once a step is noise, or once the residual neither gains an order
+    nor shrinks (keeping the better theta).
 
     When every derivative past f' vanishes up to the depth the equation is
     degenerate (any theta works); by convention theta = 1/2 is returned with
-    the ``degenerate`` flag set.
+    the ``degenerate`` flag set.  A jet of f at x with a fractional order (f
+    is not smooth at x, as sqrt at 0) raises DomainError instead.
     """
     if h is None:
         h = field.eps(config)
@@ -259,8 +270,15 @@ def mvt_theta_infinitesimal(f: Expr, x: float, h: "LCNumber | None" = None,
     theta0 = (k + 1) ** (-1.0 / k)
     theta = LCNumber.from_real(theta0, config)
     fpp = symbolic_derivative(fp, var)
+    # Residual coefficients within eq_tol of delta_f's size count as solved.
+    noise = config.eq_tol * max(1.0, field.coefficient_norm(delta_f))
+
+    def progress(r: LCNumber) -> tuple:
+        """(lowest unsolved order, size) of a residual."""
+        return next((q for q, c in r.terms if abs(c) > noise), math.inf), field.coefficient_norm(r)
+
+    r = residual(theta)
     for _ in range(80):
-        r = residual(theta)
         if r.is_zero:
             break
         shifted = field.add(x_lc, field.mul(theta, h))
@@ -269,10 +287,14 @@ def mvt_theta_infinitesimal(f: Expr, x: float, h: "LCNumber | None" = None,
             break
         step = field.mul(r, field.inv(dphi))
         new_theta = field.sub(theta, step)
-        if new_theta.terms == theta.terms:
+        new_r = residual(new_theta)
+        (order, size), (new_order, new_size) = progress(r), progress(new_r)
+        if new_order <= order and new_size >= size:
             break
-        theta = new_theta
-    return ThetaResult(theta, residual(theta), k)
+        theta, r = new_theta, new_r
+        if field.coefficient_norm(step) <= config.eq_tol * max(1.0, field.coefficient_norm(theta)):
+            break
+    return ThetaResult(theta, r, k)
 
 
 def evt_max(f: Expr, a: float, b: float, grid: int = 1000, max_rounds: int = 40,

@@ -126,11 +126,12 @@ def _resolve_settings(args) -> tuple:
             return cast(file_values[name])
         return fallback
 
+    defaults = FieldConfig()
     config = FieldConfig(
-        depth=pick("depth", int, 10),
-        max_terms=pick("max_terms", int, 64),
-        zero_tol=pick("zero_tol", float, 1e-14),
-        eq_tol=pick("eq_tol", float, 1e-10),
+        depth=pick("depth", int, defaults.depth),
+        max_terms=pick("max_terms", int, defaults.max_terms),
+        zero_tol=pick("zero_tol", float, defaults.zero_tol),
+        eq_tol=pick("eq_tol", float, defaults.eq_tol),
     )
     fmt = pick("format", str, "text")
     if fmt not in ("text", "json"):

@@ -347,19 +347,16 @@ def _eval_hyper(e: Expr, binding, config) -> LCNumber:
     return handler(e, binding, config)
 
 
-_REAL_AT = {"sin": math.sin, "cos": math.cos, "exp": math.exp, "log": math.log, "sqrt": math.sqrt}
-
-
 def _call_hyper(func: str, u: LCNumber) -> LCNumber:
     """Extend one primitive at a finite argument via its jet about st(u).
 
-    Each primitive is expanded in a form whose series coefficients stay O(1),
-    so the zero_tol coefficient cleanup never eats relatively significant
-    orders: exp factors out e**st(u), log works on the relative tail of
-    u = st(u) * (1 + w), sqrt goes through the field's n-th root (exact on
-    exponents), and sin/cos have bounded derivative cycles to begin with.
+    With u = x0 + delta (delta infinitesimal), each primitive is one Taylor
+    recurrence on the coefficients of delta, in a form whose coefficients
+    stay O(1) so the zero_tol cleanup never eats relatively significant
+    orders: exp is e**x0 * exp(delta), log is log(x0) + log(1 + delta/x0),
+    sin and cos are the two parts of e**(i*x0) * exp(i*delta), and sqrt goes
+    through the field's n-th root (exact on exponents).
     """
-    config = u.config
     if not u.is_zero and u.leading_exponent < 0:
         raise NotFinite(f"{func} applied to an infinite argument")
     if func == "sqrt":
@@ -372,76 +369,11 @@ def _call_hyper(func: str, u: LCNumber) -> LCNumber:
     x0 = field.standard_part(u)
     if func == "log" and x0 <= 0:
         raise DomainError("log at a standard part <= 0")
-    delta = field.sub(u, LCNumber.from_real(x0, config))
-    if delta.is_zero:
-        return LCNumber.from_real(_REAL_AT[func](x0), config)
-    # The argument only carries orders up to its own window top; nothing the
-    # jet produces beyond that is trustworthy (log raises the leading
-    # exponent, which would otherwise let the window creep upward).
-    arg_limit = u.leading_exponent + config.depth
-
     if func == "exp":
-        state = {"inv_fact": 1.0}
-
-        def coef(k):
-            if k > 0:
-                state["inv_fact"] /= k
-            return state["inv_fact"]
-
-        series = _jet_series(coef, delta, config, arg_limit)
-        return field.mul(LCNumber.from_real(math.exp(x0), config), series).truncated(arg_limit)
-
+        return field.taylor_series(u, math.exp(x0), 1.0, 0.0)
     if func == "log":
-        w = LCNumber([(q, c / x0) for q, c in delta.terms], config)
-
-        def coef(k):
-            if k == 0:
-                return 0.0
-            return (1.0 if k % 2 else -1.0) / k
-
-        series = _jet_series(coef, w, config, arg_limit)
-        return field.add(LCNumber.from_real(math.log(x0), config), series).truncated(arg_limit)
-
-    s0, c0 = math.sin(x0), math.cos(x0)
-    cycle = (s0, c0, -s0, -c0) if func == "sin" else (c0, -s0, -c0, s0)
-    state = {"inv_fact": 1.0}
-
-    def coef(k):
-        if k > 0:
-            state["inv_fact"] /= k
-        return cycle[k % 4] * state["inv_fact"]
-
-    return _jet_series(coef, delta, config, arg_limit)
-
-
-def _jet_series(coef, delta: LCNumber, config: FieldConfig, arg_limit) -> LCNumber:
-    """sum_k coef(k) * delta**k, truncated to the window and to arg_limit.
-
-    ``coef`` is a stateful iterator-style callable queried once per k in
-    increasing order starting at 0.
-    """
-    acc = {}
-    c0 = coef(0)
-    lead_min = None
-    if c0 != 0.0:
-        acc[0] = c0
-        lead_min = 0
-    p = field.one(config)
-    k = 0
-    while True:
-        k += 1
-        p = field.mul(p, delta)
-        limit = arg_limit if lead_min is None else min(arg_limit, lead_min + config.depth)
-        p = p.truncated(limit)
-        if p.is_zero:
-            break
-        ck = coef(k)
-        if ck != 0.0:
-            for q, c in p.terms:
-                acc[q] = acc.get(q, 0.0) + ck * c
-            if lead_min is None or p.terms[0][0] < lead_min:
-                lead_min = min(acc)
-    return LCNumber(acc.items(), config).truncated(arg_limit)
+        return field.taylor_series(u, math.log(x0), 1.0, -1.0, scale=1.0 / x0, forced=True)
+    return field.taylor_series(u, complex(math.cos(x0), math.sin(x0)), 1j, 0.0, imag=func == "sin")
 
 
 # -- symbolic differentiation --------------------------------------------------

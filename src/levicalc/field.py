@@ -2,9 +2,11 @@
 
 Numbers are truncated left-finite series ``sum_q c_q * eps**q`` in a fixed
 positive infinitesimal generator ``eps``, with exact rational exponents and
-floating-point coefficients.  The exponent window each value carries is
-relative to its own leading exponent, so arithmetic is exact on all kept
-orders:
+floating-point coefficients.  Each value holds its exponents as integers k
+over one denominator of its own (q = k/den), so exponent arithmetic is exact
+integer arithmetic; operands on different lattices meet on the lcm of their
+denominators.  The exponent window each value carries is relative to its own
+leading exponent, so arithmetic is exact on all kept orders:
 
 * ``eps`` is smaller than every positive real, ``1/eps`` larger than every
   real, and the field order is decided by the sign of the leading
@@ -21,6 +23,7 @@ bound -- any upper bound can be halved and still bound them).
 from __future__ import annotations
 
 import math
+from bisect import bisect_right
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
@@ -73,58 +76,9 @@ class Classification(str, Enum):
     INFINITE = "infinite"
 
 
-class _Exp(Fraction):
-    """Fraction with a cached hash; exponents are hash-hot as dict keys."""
-
-    __slots__ = ("_hash",)
-
-    def __hash__(self):
-        try:
-            return self._hash
-        except AttributeError:
-            h = super().__hash__()
-            self._hash = h
-            return h
-
-
-_EXP_CACHE: dict = {}
-_EXP_SUMS: dict = {}
-
-
-def _intern_exp(q: Fraction):
-    num, den = q.numerator, q.denominator
-    if den == 1:
-        return num
-    key = (num, den)
-    cached = _EXP_CACHE.get(key)
-    if cached is None:
-        cached = _Exp(num, den)
-        _EXP_CACHE[key] = cached
-    return cached
-
-
-def _exp_add(a, b):
-    """Exponent addition with memoization (exponent universes are small)."""
-    if type(a) is int and type(b) is int:
-        return a + b
-    key = (
-        a if type(a) is int else (a.numerator, a.denominator),
-        b if type(b) is int else (b.numerator, b.denominator),
-    )
-    s = _EXP_SUMS.get(key)
-    if s is None:
-        if len(_EXP_SUMS) > 200_000:
-            _EXP_SUMS.clear()
-        s = _intern_exp(a + b if isinstance(a, Fraction) else Fraction(a) + b)
-        _EXP_SUMS[key] = s
-    return s
-
-
 def _as_exponent(q) -> Exponent:
-    if type(q) is int:
+    if type(q) is int or isinstance(q, Fraction):
         return q
-    if isinstance(q, Fraction):
-        return _intern_exp(q)
     if isinstance(q, int):
         return int(q)
     if isinstance(q, float) and q.is_integer():
@@ -132,86 +86,121 @@ def _as_exponent(q) -> Exponent:
     raise TypeError(f"exponent must be an exact rational, got {q!r}")
 
 
-def _normalize(terms, config: FieldConfig):
-    acc: dict = {}
-    for q, c in terms:
-        q = _as_exponent(q)
-        acc[q] = acc.get(q, 0.0) + float(c)
-    return _settle(acc, config)
+def _exponent(k: int, den: int) -> Exponent:
+    """The exponent k/den, as an int when it is one."""
+    return k // den if k % den == 0 else Fraction(k, den)
 
 
-def _settle(acc: dict, config: FieldConfig):
-    """Normalization tail for an accumulator whose keys are already interned."""
+def _settle(acc: dict, den: int, config: FieldConfig) -> tuple:
+    """Normalization tail: drop coefficients at or below zero_tol, sort, and
+    keep at most max_terms orders within depth of the new leading order."""
     zt = config.zero_tol
-    kept = [(q, c) for q, c in acc.items() if (c if c >= 0 else -c) > zt]
+    kept = [(k, c) for k, c in acc.items() if (c if c >= 0 else -c) > zt]
     if not kept:
         return ()
     kept.sort()
-    limit = _exp_add(kept[0][0], config.depth)
-    out = []
-    for t in kept:
-        if t[0] > limit or len(out) >= config.max_terms:
-            break
-        out.append(t)
-    return tuple(out)
+    top = kept[0][0] + config.depth * den
+    return tuple(kept[:bisect_right(kept, (top, math.inf), 0, min(len(kept), config.max_terms))])
+
+
+def _reduced(den: int, pairs: tuple) -> tuple:
+    """(den, pairs) on the coarsest lattice that holds every exponent."""
+    if den > 1:
+        g = math.gcd(den, *[k for k, _ in pairs])
+        if g > 1:
+            return den // g, tuple((k // g, c) for k, c in pairs)
+    return den, pairs
+
+
+def _aligned(a: "LCNumber", b: "LCNumber") -> tuple:
+    """(den, pairs of a, pairs of b) on the common lattice 1/lcm(den_a, den_b)."""
+    da, db = a._den, b._den
+    if da == db:
+        return da, a._pairs, b._pairs
+    den = math.lcm(da, db)
+    fa, fb = den // da, den // db
+    pa = a._pairs if fa == 1 else tuple((k * fa, c) for k, c in a._pairs)
+    pb = b._pairs if fb == 1 else tuple((k * fb, c) for k, c in b._pairs)
+    return den, pa, pb
 
 
 class LCNumber:
     """One field element: an immutable, normalized, truncated series.
 
     ``terms`` is a tuple of (exponent, coefficient) pairs with strictly
-    increasing exact-rational exponents; zero is the empty tuple.  Instances
-    are value objects: every operation returns a fresh number, so they are
-    safe to share between threads.
+    increasing exact-rational exponents; zero is the empty tuple.  Inside,
+    the exponents are integers k over one denominator per value (exponent
+    k/den), kept as sorted (k, coefficient) pairs; ``terms`` is derived from
+    them on first use.  Instances are value objects: every operation returns
+    a fresh number, so they are safe to share between threads.
     """
 
-    __slots__ = ("terms", "config")
+    __slots__ = ("_den", "_pairs", "_terms", "config")
 
     def __init__(self, terms: Iterable[tuple], config: FieldConfig = DEFAULT_CONFIG):
-        self.terms = _normalize(terms, config)
+        items = []
+        den = 1
+        for q, c in terms:
+            if type(q) is not int:
+                q = _as_exponent(q)
+                den = math.lcm(den, q.denominator)
+            items.append((q, float(c)))
+        acc: dict = {}
+        for q, c in items:
+            k = q * den if type(q) is int else q.numerator * (den // q.denominator)
+            acc[k] = acc.get(k, 0.0) + c
+        self._den, self._pairs = _reduced(den, _settle(acc, den, config))
+        self._terms = None
         self.config = config
 
     @classmethod
     def from_real(cls, x: Scalar, config: FieldConfig = DEFAULT_CONFIG) -> "LCNumber":
-        return cls(((0, float(x)),), config)
-
-    @classmethod
-    def _raw(cls, terms: tuple, config: FieldConfig) -> "LCNumber":
-        # Fast path for terms already in normalized form.
-        obj = object.__new__(cls)
-        obj.terms = terms
-        obj.config = config
-        return obj
+        x = float(x)
+        return _lc(1, ((0, x),) if abs(x) > config.zero_tol else (), config)
 
     # -- structure ---------------------------------------------------------
 
     @property
+    def terms(self) -> tuple:
+        terms = self._terms
+        if terms is None:
+            den = self._den
+            terms = self._pairs if den == 1 else tuple((_exponent(k, den), c) for k, c in self._pairs)
+            self._terms = terms
+        return terms
+
+    @property
     def is_zero(self) -> bool:
-        return not self.terms
+        return not self._pairs
 
     @property
     def leading_exponent(self):
-        return self.terms[0][0] if self.terms else None
+        return _exponent(self._pairs[0][0], self._den) if self._pairs else None
 
     @property
     def leading_coefficient(self):
-        return self.terms[0][1] if self.terms else None
+        return self._pairs[0][1] if self._pairs else None
 
     @property
     def is_real(self) -> bool:
         """True when the value is zero or a single exponent-0 term."""
-        return not self.terms or (len(self.terms) == 1 and self.terms[0][0] == 0)
+        return not self._pairs or (len(self._pairs) == 1 and self._pairs[0][0] == 0)
 
     def coefficient(self, q) -> float:
-        q = _as_exponent(q)
-        for e, c in self.terms:
-            if e == q:
+        k = _as_exponent(q) * self._den
+        if type(k) is not int:
+            if k.denominator != 1:
+                return 0.0
+            k = k.numerator
+        for e, c in self._pairs:
+            if e == k:
                 return c
         return 0.0
 
     def truncated(self, max_exponent) -> "LCNumber":
         """Drop every term with exponent above ``max_exponent``."""
-        return LCNumber._raw(tuple(t for t in self.terms if t[0] <= max_exponent), self.config)
+        top = math.floor(max_exponent * self._den)
+        return _lc(self._den, tuple(t for t in self._pairs if t[0] <= top), self.config)
 
     # -- arithmetic --------------------------------------------------------
 
@@ -271,7 +260,7 @@ class LCNumber:
         return self
 
     def __abs__(self):
-        return neg(self) if (self.terms and self.terms[0][1] < 0) else self
+        return neg(self) if (self._pairs and self._pairs[0][1] < 0) else self
 
     def __pow__(self, k):
         if not isinstance(k, int):
@@ -331,8 +320,18 @@ def _require_same_config(a: LCNumber, b: LCNumber) -> FieldConfig:
     return a.config
 
 
+def _lc(den: int, pairs: tuple, config: FieldConfig) -> LCNumber:
+    # Fast path for pairs already in normalized form.
+    u = object.__new__(LCNumber)
+    u._den = den
+    u._pairs = pairs
+    u._terms = None
+    u.config = config
+    return u
+
+
 def zero(config: FieldConfig = DEFAULT_CONFIG) -> LCNumber:
-    return LCNumber((), config)
+    return _lc(1, (), config)
 
 
 def one(config: FieldConfig = DEFAULT_CONFIG) -> LCNumber:
@@ -349,43 +348,54 @@ def infinite(config: FieldConfig = DEFAULT_CONFIG) -> LCNumber:
     return LCNumber(((-1, 1.0),), config)
 
 
-def add(a: LCNumber, b: LCNumber) -> LCNumber:
+def _combine(a: LCNumber, b: LCNumber, negate: bool) -> LCNumber:
     config = _require_same_config(a, b)
-    if not a.terms:
-        return b
-    if not b.terms:
+    if not b._pairs:
         return a
-    out = dict(a.terms)
-    for q, c in b.terms:
-        out[q] = out.get(q, 0.0) + c
-    return LCNumber._raw(_settle(out, config), config)
+    if not a._pairs:
+        return neg(b) if negate else b
+    den, pa, pb = _aligned(a, b)
+    out = dict(pa)
+    get = out.get
+    if negate:
+        for k, c in pb:
+            out[k] = get(k, 0.0) - c
+    else:
+        for k, c in pb:
+            out[k] = get(k, 0.0) + c
+    return _lc(den, _settle(out, den, config), config)
+
+
+def add(a: LCNumber, b: LCNumber) -> LCNumber:
+    return _combine(a, b, False)
 
 
 def neg(a: LCNumber) -> LCNumber:
-    return LCNumber._raw(tuple((q, -c) for q, c in a.terms), a.config)
+    return _lc(a._den, tuple((k, -c) for k, c in a._pairs), a.config)
 
 
 def sub(a: LCNumber, b: LCNumber) -> LCNumber:
-    return add(a, neg(b))
+    return _combine(a, b, True)
 
 
 def mul(a: LCNumber, b: LCNumber) -> LCNumber:
     config = _require_same_config(a, b)
-    if not a.terms or not b.terms:
+    if not a._pairs or not b._pairs:
         return zero(config)
-    lead_b = b.terms[0][0]
-    limit = _exp_add(_exp_add(a.terms[0][0], lead_b), config.depth)
+    den, pa, pb = _aligned(a, b)
+    lead_b = pb[0][0]
+    limit = pa[0][0] + lead_b + config.depth * den
     out: dict = {}
     get = out.get
-    for qa, ca in a.terms:
-        if _exp_add(qa, lead_b) > limit:
+    for ka, ca in pa:
+        if ka + lead_b > limit:
             break
-        for qb, cb in b.terms:
-            q = _exp_add(qa, qb)
-            if q > limit:
+        for kb, cb in pb:
+            k = ka + kb
+            if k > limit:
                 break
-            out[q] = get(q, 0.0) + ca * cb
-    return LCNumber._raw(_settle(out, config), config)
+            out[k] = get(k, 0.0) + ca * cb
+    return _lc(den, _settle(out, den, config), config)
 
 
 def powi(a: LCNumber, k: int) -> LCNumber:
@@ -409,62 +419,92 @@ def powi(a: LCNumber, k: int) -> LCNumber:
     return result
 
 
-def _split_leading(a: LCNumber):
-    """Write a = c * eps**q * (1 + m) with m infinitesimal; return (q, c, m)."""
-    q, c = a.terms[0]
-    shift = -q
-    m = LCNumber([(_exp_add(e, shift), coef / c) for e, coef in a.terms[1:]], a.config)
-    return q, c, m
+def _recurrence(den: int, tail, y0, beta, gamma: float, cap: int, shift: int,
+                config: FieldConfig, forced: "dict | None" = None, imag: bool = False) -> LCNumber:
+    """Coefficients of y = sum_K y_K * t**K, t = eps**(1/den), from a recurrence
+    over the sparse series ``tail`` = ((k_j, c_j), ...), 0 < k_1 < k_2 < ...:
+
+        y_K = forced.get(K, 0) + sum_j c_j * y_(K - k_j) * (beta * k_j / K + gamma)
+
+    This is Taylor-mode differentiation (Griewank & Walther, ch. 13): with
+    x = 1 + tail, beta = alpha + 1 and gamma = -1 give y = y0 * x**alpha;
+    (1, 0) gives y = y0 * exp(tail), (1j, 0) gives y = y0 * exp(i * tail), and
+    (1, -1) with ``forced = dict(tail)`` gives y = y0 + log(x).  Only the
+    orders K reachable as sums of the k_j are visited, in increasing order, so
+    the cost is O(kept terms * len(tail)) whatever den is.  The result is y (its imaginary part with ``imag``)
+    shifted by ``shift``/den, normalized as every value is: no order above
+    ``cap`` or past depth from its own leading order, at most max_terms.
+    """
+    ks = [k for k, _ in tail]
+    weights = [(k, c * beta * k, c * gamma) for k, c in tail]
+    zt, span = config.zero_tol, config.depth * den
+    v = y0.imag if imag else y0.real
+    out = [(shift, v)] if abs(v) > zt else []
+    limit = min(cap, span) if out else cap
+    ys = {0: y0}
+    # support: the orders visited so far; generator j next offers
+    # support[ptr[j]] + k_j, and nxt holds those offers.
+    support, ptr, nxt = [0], [0] * len(ks), list(ks)
+    while nxt and len(out) < config.max_terms:
+        K = min(nxt)
+        if K > limit:
+            break
+        y = forced.get(K, 0.0) if forced else 0.0
+        for k, a, g in weights:
+            if k > K:
+                break
+            prev = ys.get(K - k)
+            if prev is not None:
+                y += prev * a / K + prev * g
+        ys[K] = y
+        support.append(K)
+        for j, offer in enumerate(nxt):
+            if offer == K:
+                ptr[j] += 1
+                nxt[j] = support[ptr[j]] + ks[j]
+        v = y.imag if imag else y.real
+        if abs(v) > zt:
+            if not out:
+                limit = min(cap, K + span)
+            out.append((K + shift, v))
+    return _lc(den, tuple(out), config)
 
 
-def _monomial(q, c, config) -> LCNumber:
-    return LCNumber(((q, c),), config)
+def taylor_series(u: LCNumber, y0, beta, gamma: float, scale: float = 1.0,
+                  forced: bool = False, imag: bool = False) -> LCNumber:
+    """Extend a smooth function to a finite u from its value y0 at st(u):
+    _recurrence over delta = scale * (u - st(u)), on u's own lattice.  Nothing
+    past u's window top is kept, because u carries no orders beyond it (and
+    log raises the leading exponent, which would otherwise let the window
+    creep upward)."""
+    tail = [(k, scale * c) for k, c in u._pairs if k > 0]
+    top = (u._pairs[0][0] if u._pairs else 0) + u.config.depth * u._den
+    return _recurrence(u._den, tail, y0, beta, gamma, top, 0, u.config, dict(tail) if forced else None, imag)
 
 
 def inv(a: LCNumber) -> LCNumber:
-    """Multiplicative inverse via the geometric series of the relative tail."""
-    if not a.terms:
+    """Multiplicative inverse: a = c * eps**q * (1 + m) gives
+    1/a = (1/c) * eps**(-q) * (1 + m)**(-1), by the Taylor recurrence."""
+    if not a._pairs:
         raise DivisionByZero("inverse of zero")
-    config = a.config
-    q, c, m = _split_leading(a)
-    acc = {0: 1.0}
-    p = one(config)
-    while True:
-        p = mul(p, m).truncated(config.depth)
-        if p.is_zero:
-            break
-        for e, coef in p.terms:
-            acc[e] = acc.get(e, 0.0) - coef
-        p = neg(p)
-    series = LCNumber(acc.items(), config)
-    return mul(_monomial(-q, 1.0 / c, config), series)
+    (k0, c), tail = a._pairs[0], a._pairs[1:]
+    m = [(k - k0, x / c) for k, x in tail]
+    return _recurrence(a._den, m, 1.0 / c, 0.0, -1.0, a.config.depth * a._den, -k0, a.config)
 
 
 def nth_root(a: LCNumber, n: int) -> LCNumber:
     """The positive n-th root; exact on exponents, binomial series on the tail."""
     if n < 1:
         raise ValueError("root index must be a positive integer")
-    if not a.terms or a.terms[0][1] <= 0:
+    if not a._pairs or a._pairs[0][1] <= 0:
         raise NegativeLeading(f"{n}-th root requires a positive leading coefficient")
-    config = a.config
-    q, c, m = _split_leading(a)
-    root_q = Fraction(q) / n
+    # On the lattice 1/(n*den) the root's leading exponent q/n is an integer.
+    den = a._den * n
+    (k0, c), tail = a._pairs[0], a._pairs[1:]
+    m = [((k - k0) * n, x / c) for k, x in tail]
     root_c = math.sqrt(c) if n == 2 else c ** (1.0 / n)
-    alpha = 1.0 / n
-    acc = {0: 1.0}
-    p = one(config)
-    binom = 1.0
-    k = 0
-    while True:
-        k += 1
-        binom *= (alpha - (k - 1)) / k
-        p = mul(p, m).truncated(config.depth)
-        if p.is_zero:
-            break
-        for e, coef in p.terms:
-            acc[e] = acc.get(e, 0.0) + binom * coef
-    series = LCNumber(acc.items(), config)
-    return mul(_monomial(root_q, root_c, config), series)
+    root = _recurrence(den, m, root_c, 1.0 / n + 1.0, -1.0, a.config.depth * den, k0, a.config)
+    return _lc(*_reduced(den, root._pairs), a.config)
 
 
 def sqrt(a: LCNumber) -> LCNumber:
@@ -478,58 +518,55 @@ def compare(a: LCNumber, b: LCNumber) -> int:
     normalized difference a - b, computed here without building the series.
     """
     config = _require_same_config(a, b)
-    d = dict(a.terms)
-    for q, c in b.terms:
-        d[q] = d.get(q, 0.0) - c
+    den, pa, pb = _aligned(a, b)
+    d = dict(pa)
+    get = d.get
+    for k, c in pb:
+        d[k] = get(k, 0.0) - c
     zt = config.zero_tol
-    kept = [(q, c) for q, c in d.items() if (c if c >= 0 else -c) > zt]
+    kept = [(k, c) for k, c in d.items() if (c if c >= 0 else -c) > zt]
     if not kept:
         return EQUAL
-    kept.sort()
-    limit = _exp_add(kept[0][0], config.depth)
-    biggest = 0.0
-    for q, c in kept:
-        if q > limit:
-            break
-        mag = c if c >= 0 else -c
-        if mag > biggest:
-            biggest = mag
-    if biggest <= config.eq_tol:
-        return EQUAL
-    return GREATER if kept[0][1] > 0 else LESS
+    lead, sign = min(kept)
+    if -config.eq_tol <= sign <= config.eq_tol:
+        limit = lead + config.depth * den
+        if max([(c if c >= 0 else -c) for k, c in kept if k <= limit]) <= config.eq_tol:
+            return EQUAL
+    return GREATER if sign > 0 else LESS
 
 
 def classify(u: LCNumber) -> Classification:
-    if not u.terms:
+    if not u._pairs:
         return Classification.ZERO
-    lead = u.terms[0][0]
+    lead = u._pairs[0][0]
     if lead > 0:
         return Classification.INFINITESIMAL
     if lead < 0:
         return Classification.INFINITE
-    if len(u.terms) == 1:
+    if len(u._pairs) == 1:
         return Classification.APPRECIABLE
     return Classification.FINITE_WITH_INFINITESIMAL_PART
 
 
 def standard_part(u: LCNumber) -> float:
     """The real number infinitely close to a finite u (its shadow)."""
-    if not u.terms:
+    if not u._pairs:
         return 0.0
-    if u.terms[0][0] < 0:
+    k, c = u._pairs[0]
+    if k < 0:
         raise NotFinite("standard part of an infinite element")
-    return u.coefficient(0)
+    return c if k == 0 else 0.0
 
 
 def is_infinitely_close(a: LCNumber, b: LCNumber) -> bool:
     """True iff a - b is zero or infinitesimal."""
     diff = sub(a, b)
-    return diff.is_zero or diff.terms[0][0] > 0
+    return diff.is_zero or diff._pairs[0][0] > 0
 
 
 def coefficient_norm(u: LCNumber) -> float:
     """Largest coefficient magnitude; 0.0 for the zero element."""
-    return max((abs(c) for _, c in u.terms), default=0.0)
+    return max([abs(c) for _, c in u._pairs], default=0.0)
 
 
 # -- text and JSON rendering ------------------------------------------------

@@ -31,7 +31,7 @@ from typing import Mapping
 from . import field
 from .errors import BindingError, EvaluationError, LevicalcError, ParseError
 from .expr import Expr, _eval_hyper, eval_real, free_variables, parse_expr_tokens, render_expr
-from .field import DEFAULT_CONFIG, EQUAL, GREATER, LESS, FieldConfig, LCNumber
+from .field import DEFAULT_CONFIG, EQUAL, GREATER, LESS, Classification, FieldConfig, LCNumber
 from .lexer import TokenStream, tokenize
 
 STRATA = ("real", "positive-real", "infinitesimal", "positive", "finite", "infinite", "any")
@@ -321,22 +321,24 @@ def _draw_series_coef(rng: random.Random, cfg: SamplerConfig, positive: bool) ->
             return abs(c) if positive else c
 
 
-@lru_cache(maxsize=64)
-def _exponent_row(den: int) -> tuple:
-    return tuple(field._as_exponent(Fraction(num, den)) for num in range(1, 2 * den + 1))
+@lru_cache(maxsize=4096)
+def _rational(num: int, den: int) -> Fraction:
+    return Fraction(num, den)
 
 
-def _draw_exponent(rng: random.Random, cfg: SamplerConfig):
-    row = _exponent_row(rng.randint(1, cfg.exp_den_bound))
-    return row[rng.randrange(len(row))]
+def _draw_exponent(rng: random.Random, cfg: SamplerConfig) -> tuple:
+    """A positive exponent num/den, den <= exp_den_bound, as (num, den)."""
+    den = rng.randint(1, cfg.exp_den_bound)
+    return rng.randrange(2 * den) + 1, den
 
 
 def _draw_terms(rng, cfg, lead_exp, lead):
-    terms = [(lead_exp, lead)]
+    lead_num, lead_den = lead_exp
+    terms = [(_rational(lead_num, lead_den), lead)]
     cap = 0.5 * min(abs(lead), 1.0)
     for _ in range(rng.randint(0, 2)):
-        offset = _draw_exponent(rng, cfg)
-        terms.append((field._exp_add(lead_exp, offset), rng.uniform(-cap, cap)))
+        num, den = _draw_exponent(rng, cfg)
+        terms.append((_rational(lead_num * den + num * lead_den, lead_den * den), rng.uniform(-cap, cap)))
     return terms
 
 
@@ -349,9 +351,10 @@ def _sample_shape(shape: str, rng: random.Random, cfg: SamplerConfig,
         return LCNumber(_draw_terms(rng, cfg, _draw_exponent(rng, cfg), lead), config)
     if shape == "infinite":
         lead = _draw_series_coef(rng, cfg, positive)
-        return LCNumber(_draw_terms(rng, cfg, -_draw_exponent(rng, cfg), lead), config)
+        num, den = _draw_exponent(rng, cfg)
+        return LCNumber(_draw_terms(rng, cfg, (-num, den), lead), config)
     if shape == "mixed":
-        return LCNumber(_draw_terms(rng, cfg, 0, _draw_coef(rng, cfg, positive)), config)
+        return LCNumber(_draw_terms(rng, cfg, (0, 1), _draw_coef(rng, cfg, positive)), config)
     raise ValueError(f"unknown shape '{shape}'")
 
 
@@ -385,19 +388,19 @@ def stratum_contains(u: LCNumber, stratum: str) -> bool:
         return True
     if u.is_zero:
         return stratum in ("real", "finite")
-    lead_exp, lead_coef = u.terms[0]
+    kind = field.classify(u)
     if stratum == "real":
         return u.is_real
     if stratum == "positive-real":
-        return u.is_real and lead_coef > 0
+        return u.is_real and u.leading_coefficient > 0
     if stratum == "infinitesimal":
-        return lead_exp > 0
+        return kind is Classification.INFINITESIMAL
     if stratum == "infinite":
-        return lead_exp < 0
+        return kind is Classification.INFINITE
     if stratum == "finite":
-        return lead_exp >= 0
+        return kind is not Classification.INFINITE
     if stratum == "positive":
-        return lead_coef > 0
+        return u.leading_coefficient > 0
     raise ValueError(f"unknown stratum '{stratum}'")
 
 

@@ -6,7 +6,7 @@ import random
 import numpy as np
 import pytest
 
-from levicalc import field
+from levicalc import calculus, field
 from levicalc.calculus import (
     derivative,
     evt_max,
@@ -16,7 +16,7 @@ from levicalc.calculus import (
     taylor_remainder_check,
     taylor_remainder_check_infinitesimal,
 )
-from levicalc.errors import OrderTooHigh
+from levicalc.errors import DomainError, OrderTooHigh
 from levicalc.expr import eval_real, parse_expr, symbolic_derivative
 from levicalc.field import coefficient_norm, eps
 
@@ -286,3 +286,33 @@ def test_taylor_remainder_infinitesimal():
 def test_taylor_remainder_infinitesimal_polynomial_exact():
     res = taylor_remainder_check_infinitesimal(f("x^2"), 3.0)
     assert coefficient_norm(res) <= 1e-13
+
+
+def test_mvt_infinitesimal_stops_at_noise_floor(monkeypatch):
+    # Near its rounding noise floor Newton alternates between two thetas a
+    # rounding step apart; the solver must stop there rather than spend its
+    # whole iteration budget (two evaluations a step).
+    calls = []
+    real_eval_hyper = calculus.eval_hyper
+
+    def counting(*args, **kwargs):
+        calls.append(1)
+        return real_eval_hyper(*args, **kwargs)
+
+    monkeypatch.setattr(calculus, "eval_hyper", counting)
+    a, b, x = 1.324, 0.341, 0.824
+    r = mvt_theta_infinitesimal(f(f"cos({a}*x + {b})"), x)
+    assert len(calls) <= 40
+    f2 = -a * a * math.cos(a * x + b)
+    f3 = a ** 3 * math.sin(a * x + b)
+    assert abs(r.theta.coefficient(0) - 0.5) <= 1e-12
+    assert abs(r.theta.coefficient(1) - f3 / (24 * f2)) <= 1e-10
+    assert r.residual_norm <= 1e-10
+    assert r.leading_order == 1
+
+
+def test_mvt_infinitesimal_rejects_fractional_jet():
+    # sqrt is not smooth at 0: its jet there is eps^(1/2), which no integer
+    # order describes, so "degenerate" would be a wrong answer.
+    with pytest.raises(DomainError):
+        mvt_theta_infinitesimal(f("sqrt(x)"), 0.0)
