@@ -25,7 +25,7 @@ from typing import Sequence
 import numpy as np
 
 from . import field
-from .errors import DomainError, LevicalcError, NoBracket, OrderTooHigh
+from .errors import DomainError, LevicalcError, NoBracket, NotFinite, OrderTooHigh
 from .expr import (Const, Expr, Mul, Sub, Var, eval_hyper, eval_real, free_variables, render_expr,
                    symbolic_derivative)
 from .field import DEFAULT_CONFIG, FieldConfig, LCNumber
@@ -138,6 +138,19 @@ def _leading_order(f: Expr, x: float, var: str, config: FieldConfig) -> int:
     return 0
 
 
+def _on_grid(f: Expr, var: str, xs: np.ndarray) -> np.ndarray:
+    """f at every point of xs, evaluated as one array of xs's shape.
+
+    A constant f is broadcast.  An inf or nan anywhere raises NotFinite, so an
+    overflow never reaches a scan, an argmax or a sum as a plausible number.
+    """
+    with np.errstate(over="ignore", invalid="ignore"):
+        vals = np.broadcast_to(eval_real(f, {var: xs}), xs.shape)
+    if not np.isfinite(vals).all():
+        raise NotFinite(f"{render_expr(f)} is not finite on the grid over [{xs[0]}, {xs[-1]}]")
+    return vals
+
+
 _SCAN_POINTS = 1024
 
 
@@ -147,8 +160,11 @@ def mvt_theta_real(f: Expr, x: float, h: float, var: "str | None" = None,
 
     The root of g(theta) = f(x+h) - f(x) - h*f'(x+theta*h) is taken from the
     first sign-change bracket of a left-to-right scan, narrowed by bisection
-    and polished with damped Newton steps.  A g that vanishes identically
-    (linear f) returns the symmetric convention theta = 1/2.
+    and polished with damped Newton steps.  The scan evaluates f' on all of
+    its 1025 points as one array, and raises NotFinite when f' is inf or nan
+    anywhere on them; bisection and Newton evaluate g one point at a time.
+    A g that vanishes identically (linear f) returns the symmetric
+    convention theta = 1/2.
     """
     if h == 0:
         raise ValueError("h must be nonzero")
@@ -162,27 +178,20 @@ def mvt_theta_real(f: Expr, x: float, h: float, var: "str | None" = None,
         return delta_f - h * eval_real(fp, {var: x + theta * h})
 
     grid = np.linspace(0.0, 1.0, _SCAN_POINTS + 1)
-    values = np.array([g(t) for t in grid])
+    values = delta_f - h * _on_grid(fp, var, x + grid * h)
     k = _leading_order(f, x, var, config)
 
     if np.max(np.abs(values)) <= max(tol, 1e-13 * max(scale, abs(eval_real(f, {var: x})))):
         return ThetaResult(0.5, g(0.5), 0, degenerate=True)
 
-    bracket = None
-    for i in range(_SCAN_POINTS):
-        if abs(values[i]) <= tol:
-            bracket = (grid[i], grid[i])
-            break
-        if values[i] * values[i + 1] <= 0:
-            bracket = (grid[i], grid[i + 1])
-            break
-    else:
-        if abs(values[-1]) <= tol:
-            bracket = (grid[-1], grid[-1])
-    if bracket is None:
+    # The bracket starts at the first point where g is within tol of zero (a
+    # one-point bracket) or changes sign before the next point.
+    small = np.abs(values) <= tol
+    stops = np.append(small[:-1] | (values[:-1] * values[1:] <= 0), small[-1])
+    i = int(np.argmax(stops))
+    if not stops[i]:
         raise NoBracket("no sign change of the mean-value residual on [0, 1]")
-
-    lo, hi = bracket
+    lo, hi = (grid[i], grid[i]) if small[i] else (grid[i], grid[i + 1])
     glo = g(lo)
     for _ in range(200):
         if hi - lo <= 1e-15:
@@ -317,9 +326,7 @@ def evt_max(f: Expr, a: float, b: float, grid: int = 1000, max_rounds: int = 40,
     x_best = a
     for _ in range(max_rounds):
         xs = np.linspace(lo, hi, grid + 1)
-        vals = np.asarray(eval_real(f, {var: xs}))
-        if vals.ndim == 0:
-            vals = np.full(xs.shape, float(vals))
+        vals = _on_grid(f, var, xs)
         i0 = int(np.argmax(vals))
         x_best = float(xs[i0])
         spacing = (hi - lo) / grid
@@ -338,7 +345,13 @@ def riemann_integral(f: Expr, a: float, b: float,
                      schedule: "Sequence[int] | None" = None,
                      var: "str | None" = None) -> IntegralResult:
     """Left-endpoint Riemann sums over a schedule of partition sizes,
-    extrapolated in 1/H; the extrapolated limit is the reported value."""
+    extrapolated in 1/H; the extrapolated limit is the reported value.
+
+    Each grid is evaluated as one array, and an inf or nan on it raises
+    NotFinite.  When every H is the largest H divided by a power of two (the
+    default schedule is), every coarser grid is a strided subset of the
+    finest one, bit for bit, so only the finest grid is evaluated.
+    """
     if a > b:
         raise ValueError("need a <= b")
     schedule = list(schedule) if schedule is not None else list(DEFAULT_H_SCHEDULE)
@@ -347,15 +360,15 @@ def riemann_integral(f: Expr, a: float, b: float,
     var = _the_var(f, var)
     if a == b:
         return IntegralResult(0.0, 0.0, schedule, [0.0] * len(schedule), False)
+    constant = var not in free_variables(f)
+    fine = max(schedule)
+    nested = all(fine % H == 0 and int(fine // H).bit_count() == 1 for H in schedule)
+    finest = _on_grid(f, var, a + (b - a) / fine * np.arange(fine)) if nested else None
     sums = []
     for H in schedule:
         w = (b - a) / H
-        xs = a + w * np.arange(H)
-        vals = np.asarray(eval_real(f, {var: xs}))
-        if vals.ndim == 0:
-            sums.append(float(vals) * (b - a))
-        else:
-            sums.append(float(w * np.sum(vals)))
+        vals = finest[::int(fine // H)] if nested else _on_grid(f, var, a + w * np.arange(H))
+        sums.append(float(vals[0]) * (b - a) if constant else float(w * np.sum(vals)))
     extrapolants = []
     for s_prev, s_next, h_prev, h_next in zip(sums, sums[1:], schedule, schedule[1:]):
         r = h_next / h_prev

@@ -223,7 +223,8 @@ _ARRAY_FUNCS = {"sin": np.sin, "cos": np.cos, "exp": np.exp, "log": np.log, "sqr
 
 def eval_real(e: Expr, binding: Mapping[str, RealValue]) -> RealValue:
     """Evaluate over the reals.  Scalar bindings give floats; numpy arrays
-    are evaluated elementwise (used for grid sweeps)."""
+    are evaluated elementwise (used for grid sweeps).  A scalar overflow
+    raises NotFinite; array results are returned as numpy computes them."""
     if isinstance(e, Const):
         return e.value
     if isinstance(e, Var):
@@ -247,7 +248,10 @@ def eval_real(e: Expr, binding: Mapping[str, RealValue]) -> RealValue:
         base = eval_real(e.base, binding)
         if e.exponent < 0 and _any(base == 0):
             raise DomainError("zero raised to a negative power")
-        return base ** e.exponent
+        try:
+            return base ** e.exponent
+        except OverflowError:
+            raise NotFinite(f"{base}^{e.exponent} overflows") from None
     if isinstance(e, Neg):
         return -eval_real(e.operand, binding)
     if isinstance(e, Call):
@@ -257,7 +261,10 @@ def eval_real(e: Expr, binding: Mapping[str, RealValue]) -> RealValue:
         if e.func == "sqrt" and _any(u < 0):
             raise DomainError("sqrt of a negative value")
         fn = _ARRAY_FUNCS[e.func] if isinstance(u, np.ndarray) else _REAL_FUNCS[e.func]
-        return fn(u)
+        try:
+            return fn(u)
+        except OverflowError:
+            raise NotFinite(f"{e.func}({u}) overflows") from None
     raise TypeError(f"not an expression node: {e!r}")
 
 

@@ -8,6 +8,9 @@ from .errors import ParseError
 
 # Two-character symbols must come before their one-character prefixes.
 _SYMBOLS = ("<=", "=>", "+", "-", "*", "/", "^", "(", ")", "<", "=", ",", ".", ":")
+# Numbers are ASCII only: str.isdigit also accepts superscripts and other
+# scripts' digits, which float() then rejects or silently reads.
+_DIGITS = "0123456789"
 
 
 class Token(NamedTuple):
@@ -32,21 +35,21 @@ def tokenize(src: str) -> list[Token]:
             i += 1
             col += 1
             continue
-        if ch.isdigit():
+        if ch in _DIGITS:
             j = i
-            while j < n and src[j].isdigit():
+            while j < n and src[j] in _DIGITS:
                 j += 1
-            if j < n and src[j] == "." and j + 1 < n and src[j + 1].isdigit():
+            if j < n and src[j] == "." and j + 1 < n and src[j + 1] in _DIGITS:
                 j += 1
-                while j < n and src[j].isdigit():
+                while j < n and src[j] in _DIGITS:
                     j += 1
             if j < n and src[j] in "eE":
                 k = j + 1
                 if k < n and src[k] in "+-":
                     k += 1
-                if k < n and src[k].isdigit():
+                if k < n and src[k] in _DIGITS:
                     j = k
-                    while j < n and src[j].isdigit():
+                    while j < n and src[j] in _DIGITS:
                         j += 1
             text = src[i:j]
             tokens.append(Token("number", text, line, col))

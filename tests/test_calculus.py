@@ -16,7 +16,7 @@ from levicalc.calculus import (
     taylor_remainder_check,
     taylor_remainder_check_infinitesimal,
 )
-from levicalc.errors import DomainError, OrderTooHigh
+from levicalc.errors import DomainError, NotFinite, OrderTooHigh
 from levicalc.expr import eval_real, parse_expr, symbolic_derivative
 from levicalc.field import coefficient_norm, eps
 
@@ -91,6 +91,75 @@ def test_mvt_real_residual_contract():
         assert 0.0 <= r.theta <= 1.0
         scale = max(1.0, abs(eval_real(f(src), {"x": x + h}) - eval_real(f(src), {"x": x})))
         assert abs(r.residual) <= 1e-12 * scale
+
+
+def _scalar_scan_theta(g, x, h):
+    """mvt_theta_real as it was with a pointwise scan: one scalar eval_real
+    per scan point, the first bracket found by a loop (the reference)."""
+    fp = symbolic_derivative(g, "x")
+    delta_f = eval_real(g, {"x": x + h}) - eval_real(g, {"x": x})
+    tol = 1e-12 * max(1.0, abs(delta_f))
+
+    def gt(theta):
+        return delta_f - h * eval_real(fp, {"x": x + theta * h})
+
+    grid = np.linspace(0.0, 1.0, calculus._SCAN_POINTS + 1)
+    values = [gt(t) for t in grid]
+    for i in range(calculus._SCAN_POINTS):
+        if abs(values[i]) <= tol:
+            lo = hi = grid[i]
+            break
+        if values[i] * values[i + 1] <= 0:
+            lo, hi = grid[i], grid[i + 1]
+            break
+    else:
+        assert abs(values[-1]) <= tol
+        lo = hi = grid[-1]
+    glo = gt(lo)
+    for _ in range(200):
+        if hi - lo <= 1e-15:
+            break
+        mid = 0.5 * (lo + hi)
+        gm = gt(mid)
+        if abs(gm) <= tol:
+            lo = hi = mid
+            break
+        if glo * gm <= 0:
+            hi = mid
+        else:
+            lo, glo = mid, gm
+    theta = 0.5 * (lo + hi)
+    fpp = symbolic_derivative(fp, "x")
+    r = gt(theta)
+    for _ in range(4):
+        dg = -h * h * eval_real(fpp, {"x": x + theta * h})
+        if r == 0 or dg == 0:
+            break
+        step = r / dg
+        for _ in range(30):
+            candidate = theta - step
+            if 0.0 <= candidate <= 1.0 and abs(gt(candidate)) < abs(r):
+                theta, r = candidate, gt(candidate)
+                break
+            step *= 0.5
+        else:
+            break
+    return float(theta)
+
+
+@pytest.mark.parametrize("src", ["exp(x)", "sin(3*x) * cos(x)", "(1 + x) / (2 + x^2)", "log(2 + x)"])
+def test_mvt_real_matches_pointwise_scan(src):
+    rng = random.Random(43)
+    for _ in range(20):
+        x = rng.uniform(-1.0, 1.0)
+        h = rng.choice([-1, 1]) * 10 ** rng.uniform(-2, 0)
+        assert mvt_theta_real(f(src), x, h).theta == _scalar_scan_theta(f(src), x, h), (x, h)
+
+
+def test_mvt_real_not_finite_on_scan():
+    # f' overflows at x = 0, in the middle of the scanned interval
+    with pytest.raises(NotFinite):
+        mvt_theta_real(f("exp(800 - x^2)"), -30.0, 60.0)
 
 
 # -- mean value theorem, infinitesimal increments ----------------------------------
@@ -204,6 +273,11 @@ def test_evt_trace_converges():
     assert r.H_final == r.refinement_trace[-1][0]
 
 
+def test_evt_not_finite():
+    with pytest.raises(NotFinite):
+        evt_max(f("exp(800 - x^2)"), -30.0, 30.0)
+
+
 # -- integration ---------------------------------------------------------------------
 
 
@@ -253,6 +327,28 @@ def test_integral_custom_schedule():
     assert abs(r.value - 0.5) <= 1e-6
     with pytest.raises(ValueError):
         riemann_integral(f("x"), 0.0, 1.0, schedule=[])
+
+
+def _per_grid_left_sums(g, a, b, schedule):
+    """Left Riemann sums with every grid evaluated on its own (the reference)."""
+    sums = []
+    for H in schedule:
+        w = (b - a) / H
+        sums.append(float(w * np.sum(eval_real(g, {"x": a + w * np.arange(H)}))))
+    return sums
+
+
+@pytest.mark.parametrize("schedule", [None, [1000, 1500]])
+def test_integral_sums_match_per_grid_evaluation(schedule):
+    g = f("exp(x) * sin(3*x) / (1 + x^2)")
+    for a, b in [(-0.7, 1.3), (0.1, 0.35), (-2.0, -1.5)]:
+        r = riemann_integral(g, a, b, schedule=schedule)
+        assert r.sums == _per_grid_left_sums(g, a, b, schedule or calculus.DEFAULT_H_SCHEDULE)
+
+
+def test_integral_not_finite():
+    with pytest.raises(NotFinite):
+        riemann_integral(f("exp(800 - x^2)"), -30.0, 30.0)
 
 
 # -- Taylor integral remainder ----------------------------------------------------------

@@ -65,6 +65,14 @@ def test_parse_error_positions():
         parse_expr("x y")
 
 
+@pytest.mark.parametrize("src, col", [("2\u00b2", 2), ("x^\u00b2", 3), ("\u0661+x", 1)])
+def test_numbers_are_ascii_digits(src, col):
+    # superscript two and ARABIC-INDIC DIGIT ONE pass str.isdigit
+    with pytest.raises(ParseError) as e:
+        parse_expr(src)
+    assert e.value.col == col
+
+
 def test_render_round_trip():
     sources = [
         "x + y * z",
@@ -108,6 +116,13 @@ def test_eval_real_vectorized():
     assert np.allclose(out, np.log(xs) + xs ** 2)
     with pytest.raises(DomainError):
         eval_real(parse_expr("log(x)"), {"x": np.linspace(-1, 1, 5)})
+
+
+def test_eval_real_overflow_is_not_finite():
+    with pytest.raises(NotFinite):
+        eval_real(parse_expr("exp(x)"), {"x": 800.0})
+    with pytest.raises(NotFinite):
+        eval_real(parse_expr("x^40"), {"x": 1e10})
 
 
 # -- natural extension -----------------------------------------------------------
