@@ -161,10 +161,10 @@ def mvt_theta_real(f: Expr, x: float, h: float, var: "str | None" = None,
     The root of g(theta) = f(x+h) - f(x) - h*f'(x+theta*h) is taken from the
     first sign-change bracket of a left-to-right scan, narrowed by bisection
     and polished with damped Newton steps.  The scan evaluates f' on all of
-    its 1025 points as one array, and raises NotFinite when f' is inf or nan
-    anywhere on them; bisection and Newton evaluate g one point at a time.
-    A g that vanishes identically (linear f) returns the symmetric
-    convention theta = 1/2.
+    its 1025 points as one array, and raises NotFinite when f(x), f(x+h),
+    f' or g is inf or nan anywhere on them; bisection and Newton evaluate g
+    one point at a time.  A g that vanishes identically (linear f) returns
+    the symmetric convention theta = 1/2.
     """
     if h == 0:
         raise ValueError("h must be nonzero")
@@ -178,7 +178,10 @@ def mvt_theta_real(f: Expr, x: float, h: float, var: "str | None" = None,
         return delta_f - h * eval_real(fp, {var: x + theta * h})
 
     grid = np.linspace(0.0, 1.0, _SCAN_POINTS + 1)
-    values = delta_f - h * _on_grid(fp, var, x + grid * h)
+    with np.errstate(over="ignore", invalid="ignore"):
+        values = delta_f - h * _on_grid(fp, var, x + grid * h)
+    if not np.isfinite(values).all():  # delta_f or h * f' overflowed
+        raise NotFinite(f"the mean-value residual of {render_expr(f)} is not finite on [{x}, {x + h}]")
     k = _leading_order(f, x, var, config)
 
     if np.max(np.abs(values)) <= max(tol, 1e-13 * max(scale, abs(eval_real(f, {var: x})))):

@@ -12,6 +12,8 @@ coefficientwise over the extension.
 from __future__ import annotations
 
 import math
+import operator
+from collections import namedtuple
 from dataclasses import dataclass
 from functools import lru_cache
 from typing import Mapping, Union
@@ -215,143 +217,120 @@ def render_expr(e: Expr, min_prec: int = 0) -> str:
     return out
 
 
-# -- real evaluation ----------------------------------------------------------
+# -- evaluation: one walk over two number systems ------------------------------
 
-_REAL_FUNCS = {"sin": math.sin, "cos": math.cos, "exp": math.exp, "log": math.log, "sqrt": math.sqrt}
-_ARRAY_FUNCS = {"sin": np.sin, "cos": np.cos, "exp": np.exp, "log": np.log, "sqrt": np.sqrt}
+# A term denotes one function, read over the reals or over the field.  The walk
+# is shared; an algebra supplies what differs.  `ops` holds add, sub, mul and
+# neg (the `operator` module, or the `field` module, looked up at each node);
+# const lifts a constant, and div, pow and call carry the domain checks.
+_Algebra = namedtuple("_Algebra", "ops const div pow call")
 
 
-def eval_real(e: Expr, binding: Mapping[str, RealValue]) -> RealValue:
-    """Evaluate over the reals.  Scalar bindings give floats; numpy arrays
-    are evaluated elementwise (used for grid sweeps).  A scalar overflow
-    raises NotFinite; array results are returned as numpy computes them."""
-    if isinstance(e, Const):
-        return e.value
-    if isinstance(e, Var):
+def _evaluate(e: Expr, binding: Mapping, alg: _Algebra):
+    t = type(e)
+    if t is Var:
         try:
             return binding[e.name]
         except KeyError:
             raise BindingError(f"unbound variable '{e.name}'") from None
-    if isinstance(e, Add):
-        return eval_real(e.left, binding) + eval_real(e.right, binding)
-    if isinstance(e, Sub):
-        return eval_real(e.left, binding) - eval_real(e.right, binding)
-    if isinstance(e, Mul):
-        return eval_real(e.left, binding) * eval_real(e.right, binding)
-    if isinstance(e, Div):
-        num = eval_real(e.left, binding)
-        den = eval_real(e.right, binding)
-        if _any(den == 0):
-            raise DomainError("division by zero")
-        return num / den
-    if isinstance(e, Pow):
-        base = eval_real(e.base, binding)
-        if e.exponent < 0 and _any(base == 0):
-            raise DomainError("zero raised to a negative power")
-        try:
-            return base ** e.exponent
-        except OverflowError:
-            raise NotFinite(f"{base}^{e.exponent} overflows") from None
-    if isinstance(e, Neg):
-        return -eval_real(e.operand, binding)
-    if isinstance(e, Call):
-        u = eval_real(e.arg, binding)
-        if e.func == "log" and _any(u <= 0):
-            raise DomainError("log of a nonpositive value")
-        if e.func == "sqrt" and _any(u < 0):
-            raise DomainError("sqrt of a negative value")
-        fn = _ARRAY_FUNCS[e.func] if isinstance(u, np.ndarray) else _REAL_FUNCS[e.func]
-        try:
-            return fn(u)
-        except OverflowError:
-            raise NotFinite(f"{e.func}({u}) overflows") from None
+    if t is Const:
+        return alg.const(e.value)
+    if t is Mul:
+        return alg.ops.mul(_evaluate(e.left, binding, alg), _evaluate(e.right, binding, alg))
+    if t is Add:
+        return alg.ops.add(_evaluate(e.left, binding, alg), _evaluate(e.right, binding, alg))
+    if t is Sub:
+        return alg.ops.sub(_evaluate(e.left, binding, alg), _evaluate(e.right, binding, alg))
+    if t is Div:
+        return alg.div(_evaluate(e.left, binding, alg), _evaluate(e.right, binding, alg))
+    if t is Pow:
+        return alg.pow(_evaluate(e.base, binding, alg), e.exponent)
+    if t is Neg:
+        return alg.ops.neg(_evaluate(e.operand, binding, alg))
+    if t is Call:
+        return alg.call(e.func, _evaluate(e.arg, binding, alg))
     raise TypeError(f"not an expression node: {e!r}")
+
+
+_REAL_FUNCS = {"sin": math.sin, "cos": math.cos, "exp": math.exp, "log": math.log, "sqrt": math.sqrt}
+_ARRAY_FUNCS = {"sin": np.sin, "cos": np.cos, "exp": np.exp, "log": np.log, "sqrt": np.sqrt}
 
 
 def _any(condition) -> bool:
     return bool(np.any(condition)) if isinstance(condition, np.ndarray) else bool(condition)
 
 
-# -- field evaluation (the extended function) ---------------------------------
+def _real_div(num: RealValue, den: RealValue) -> RealValue:
+    if _any(den == 0):
+        raise DomainError("division by zero")
+    return num / den
+
+
+def _real_pow(base: RealValue, k: int) -> RealValue:
+    if k < 0 and _any(base == 0):
+        raise DomainError("zero raised to a negative power")
+    try:
+        return base ** k
+    except OverflowError:
+        raise NotFinite(f"{base}^{k} overflows") from None
+
+
+def _real_call(func: str, u: RealValue) -> RealValue:
+    if func == "log" and _any(u <= 0):
+        raise DomainError("log of a nonpositive value")
+    if func == "sqrt" and _any(u < 0):
+        raise DomainError("sqrt of a negative value")
+    fn = _ARRAY_FUNCS[func] if isinstance(u, np.ndarray) else _REAL_FUNCS[func]
+    try:
+        return fn(u)
+    except OverflowError:
+        raise NotFinite(f"{func}({u}) overflows") from None
+
+
+_REALS = _Algebra(operator, lambda value: value, _real_div, _real_pow, _real_call)
+
+
+def eval_real(e: Expr, binding: Mapping[str, RealValue]) -> RealValue:
+    """Evaluate over the reals: the walk of eval_hyper with float arithmetic.
+
+    Scalar bindings give floats; numpy arrays are evaluated elementwise (used
+    for grid sweeps).  A scalar result that is inf or nan, from an overflow in
+    any operation, raises NotFinite; array results are returned as numpy
+    computes them.
+    """
+    value = _evaluate(e, binding, _REALS)
+    if not isinstance(value, np.ndarray) and not math.isfinite(value):
+        raise NotFinite(f"{render_expr(e)} evaluates to {value}")
+    return value
 
 
 def eval_hyper(e: Expr, binding: Mapping[str, LCNumber], config: FieldConfig | None = None) -> LCNumber:
     """Evaluate with field-valued bindings, i.e. apply the extended function.
 
-    Real numbers in the binding are coerced to exponent-0 elements.  With
-    purely real bindings the result agrees with eval_real to rounding.
+    The walk is eval_real's, with field arithmetic in place of float
+    arithmetic and `_call_hyper` extending each primitive.  Real numbers in
+    the binding are coerced to exponent-0 elements.  With purely real
+    bindings the result agrees with eval_real to rounding.
     """
     if config is None:
         config = next((v.config for v in binding.values() if isinstance(v, LCNumber)), DEFAULT_CONFIG)
-    coerced = {}
-    for name, value in binding.items():
-        coerced[name] = value if isinstance(value, LCNumber) else LCNumber.from_real(value, config)
+    coerced = {name: value if isinstance(value, LCNumber) else LCNumber.from_real(value, config)
+               for name, value in binding.items()}
     return _eval_hyper(e, coerced, config)
 
 
-@lru_cache(maxsize=4096)
-def _const_lc(value: float, config: FieldConfig) -> LCNumber:
-    return LCNumber.from_real(value, config)
+def _eval_hyper(e: Expr, binding: Mapping[str, LCNumber], config: FieldConfig) -> LCNumber:
+    return _evaluate(e, binding, _field_algebra(config))
 
 
-def _hyper_const(e, binding, config):
-    return _const_lc(e.value, config)
-
-
-def _hyper_var(e, binding, config):
-    try:
-        return binding[e.name]
-    except KeyError:
-        raise BindingError(f"unbound variable '{e.name}'") from None
-
-
-def _hyper_add(e, binding, config):
-    return field.add(_eval_hyper(e.left, binding, config), _eval_hyper(e.right, binding, config))
-
-
-def _hyper_sub(e, binding, config):
-    return field.sub(_eval_hyper(e.left, binding, config), _eval_hyper(e.right, binding, config))
-
-
-def _hyper_mul(e, binding, config):
-    return field.mul(_eval_hyper(e.left, binding, config), _eval_hyper(e.right, binding, config))
-
-
-def _hyper_div(e, binding, config):
-    return field.mul(_eval_hyper(e.left, binding, config), field.inv(_eval_hyper(e.right, binding, config)))
-
-
-def _hyper_pow(e, binding, config):
-    return field.powi(_eval_hyper(e.base, binding, config), e.exponent)
-
-
-def _hyper_neg(e, binding, config):
-    return field.neg(_eval_hyper(e.operand, binding, config))
-
-
-def _hyper_call(e, binding, config):
-    return _call_hyper(e.func, _eval_hyper(e.arg, binding, config))
-
-
-_HYPER_DISPATCH = {
-    Const: _hyper_const,
-    Var: _hyper_var,
-    Add: _hyper_add,
-    Sub: _hyper_sub,
-    Mul: _hyper_mul,
-    Div: _hyper_div,
-    Pow: _hyper_pow,
-    Neg: _hyper_neg,
-    Call: _hyper_call,
-}
-
-
-def _eval_hyper(e: Expr, binding, config) -> LCNumber:
-    try:
-        handler = _HYPER_DISPATCH[type(e)]
-    except KeyError:
-        raise TypeError(f"not an expression node: {e!r}") from None
-    return handler(e, binding, config)
+@lru_cache(maxsize=64)
+def _field_algebra(config: FieldConfig) -> _Algebra:
+    # field.* and _call_hyper are looked up at each call, not stored here, so
+    # that a wrapper installed on them later still sees every call.
+    return _Algebra(field, lru_cache(maxsize=4096)(lambda value: LCNumber.from_real(value, config)),
+                    lambda num, den: field.mul(num, field.inv(den)),
+                    lambda base, k: field.powi(base, k),
+                    lambda func, u: _call_hyper(func, u))
 
 
 def _call_hyper(func: str, u: LCNumber) -> LCNumber:

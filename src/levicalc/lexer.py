@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import string
 from typing import NamedTuple
 
 from .errors import ParseError
@@ -11,6 +12,9 @@ _SYMBOLS = ("<=", "=>", "+", "-", "*", "/", "^", "(", ")", "<", "=", ",", ".", "
 # Numbers are ASCII only: str.isdigit also accepts superscripts and other
 # scripts' digits, which float() then rejects or silently reads.
 _DIGITS = "0123456789"
+# Identifiers likewise: str.isalpha would take "x²" as one name.
+_IDENT_START = string.ascii_letters + "_"
+_IDENT_CHARS = _IDENT_START + _DIGITS
 
 
 class Token(NamedTuple):
@@ -56,9 +60,9 @@ def tokenize(src: str) -> list[Token]:
             col += j - i
             i = j
             continue
-        if ch.isalpha() or ch == "_":
+        if ch in _IDENT_START:
             j = i
-            while j < n and (src[j].isalnum() or src[j] == "_"):
+            while j < n and src[j] in _IDENT_CHARS:
                 j += 1
             text = src[i:j]
             tokens.append(Token("ident", text, line, col))

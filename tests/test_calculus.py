@@ -2,6 +2,7 @@
 
 import math
 import random
+import warnings
 
 import numpy as np
 import pytest
@@ -160,6 +161,16 @@ def test_mvt_real_not_finite_on_scan():
     # f' overflows at x = 0, in the middle of the scanned interval
     with pytest.raises(NotFinite):
         mvt_theta_real(f("exp(800 - x^2)"), -30.0, 60.0)
+
+
+@pytest.mark.parametrize("x, h", [(-4.9e102, 9.8e102), (1e102, 4e102)])
+def test_mvt_real_not_finite_residual(x, h):
+    # f is finite at x and x+h, but f(x+h) - f(x) (first case) or h * f'
+    # (second case) overflows; numpy would only warn, so warnings are errors
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")
+        with pytest.raises(NotFinite):
+            mvt_theta_real(f("x*x*x"), x, h)
 
 
 # -- mean value theorem, infinitesimal increments ----------------------------------

@@ -7,7 +7,7 @@ import numpy as np
 import pytest
 
 from levicalc import field
-from levicalc.errors import BindingError, DomainError, NotFinite, ParseError
+from levicalc.errors import BindingError, DivisionByZero, DomainError, NotFinite, ParseError
 from levicalc.expr import (
     Add,
     Call,
@@ -65,7 +65,7 @@ def test_parse_error_positions():
         parse_expr("x y")
 
 
-@pytest.mark.parametrize("src, col", [("2\u00b2", 2), ("x^\u00b2", 3), ("\u0661+x", 1)])
+@pytest.mark.parametrize("src, col", [("2\u00b2", 2), ("x^\u00b2", 3), ("\u0661+x", 1), ("x\u00b2+1", 2)])
 def test_numbers_are_ascii_digits(src, col):
     # superscript two and ARABIC-INDIC DIGIT ONE pass str.isdigit
     with pytest.raises(ParseError) as e:
@@ -123,6 +123,34 @@ def test_eval_real_overflow_is_not_finite():
         eval_real(parse_expr("exp(x)"), {"x": 800.0})
     with pytest.raises(NotFinite):
         eval_real(parse_expr("x^40"), {"x": 1e10})
+
+
+@pytest.mark.parametrize("src, x", [("x*x*x", 1e103), ("x*x - 2*x*x", 1e200), ("x + x", 1e308)])
+def test_eval_real_arithmetic_overflow_is_not_finite(src, x):
+    # float +, - and * overflow to inf (or inf - inf = nan) without raising
+    with pytest.raises(NotFinite):
+        eval_real(parse_expr(src), {"x": x})
+
+
+ALL_PRIMITIVES = "sqrt(x) + log(x) + exp(x) * sin(x) / cos(x) - x^-2"
+
+
+@pytest.mark.parametrize("evaluate, tree, x, outcome", [
+    (eval_real, "x^-2", 0.0, DomainError),
+    (eval_hyper, "x^-2", field.zero(), DivisionByZero),
+    (eval_hyper, "1/x", field.zero(), DivisionByZero),
+    (eval_real, Add(Var("x"), 2.0), 1.0, TypeError),
+    (eval_hyper, Add(Var("x"), 2.0), 1.0, TypeError),
+    (eval_real, ALL_PRIMITIVES, 0.5, float),  # not np.float64: the CLI prints repr
+    (eval_hyper, ALL_PRIMITIVES, 0.5, LCNumber),
+])
+def test_evaluator_contract(evaluate, tree, x, outcome):
+    tree = parse_expr(tree) if isinstance(tree, str) else tree
+    if issubclass(outcome, Exception):
+        with pytest.raises(outcome):
+            evaluate(tree, {"x": x})
+    else:
+        assert type(evaluate(tree, {"x": x})) is outcome
 
 
 # -- natural extension -----------------------------------------------------------
