@@ -5,8 +5,9 @@ The operations here run the classical constructions directly:
 * derivatives read Taylor-jet coefficients off an evaluation at ``x0 + eps``;
 * the mean-value position ``theta`` in ``f(x+h) - f(x) = h * f'(x + theta*h)``
   is solved both for real increments (bracketed bisection plus a Newton
-  polish) and for infinitesimal increments (a series-valued Newton iteration
-  seeded at the leading-order solution);
+  polish) and for infinitesimal increments (Newton's method in the field,
+  seeded at the leading-order solution and run for the number of steps that
+  Hensel's lemma fixes in advance);
 * the extremum finder simulates an ever-finer equispaced partition of
   ``[a, b]``, taking the argmax index at each stage and zooming in, so the
   refinement trace is the finite analogue of taking the shadow of a partition
@@ -243,13 +244,18 @@ def mvt_theta_infinitesimal(f: Expr, x: float, h: "LCNumber | None" = None,
 
     theta comes out as a truncated series.  Matching the first nonvanishing
     order gives the real leading term theta0 = (k+1)**(-1/k) where the
-    (k+1)-st derivative is the first nonvanishing one past f'; the higher
-    coefficients are then produced by a Newton iteration in the field, which
-    gains at least one valid order per step (so it is the order-by-order
-    back-substitution, run to the truncation depth).  Past the rounding noise
-    floor Newton only cycles between thetas a rounding step apart, so it
-    stops once a step is noise, or once the residual neither gains an order
-    nor shrinks (keeping the better theta).
+    (k+1)-st derivative is the first nonvanishing one past f'.  theta0 is a
+    simple root of the reduced form of phi(theta) = f(x+h) - f(x) -
+    h*f'(x + theta*h), so Newton's method in the field lifts it as in
+    Hensel's lemma.  With q the leading exponent of h, theta0 is exact below
+    eps^q, and a step from a theta exact below eps^e gives one exact below
+    eps^(2e+q) when k == 1 (Newton's quadratic term phi''/(2 phi') has order
+    q) and below eps^(2e) when k > 1 (phi' and phi'' both have order
+    (k+1)q).  Newton steps while e <= depth: floor(log2(depth/q + 1)) steps
+    when k == 1 and max(0, floor(log2(depth/q)) + 1) when k > 1, i.e. 3 and
+    4 for h = eps at depth 10.  Each step costs two evaluations, and the
+    only early exit is a residual that is exactly zero.  theta's
+    conditioning is not checked, and residual_norm is absolute.
 
     When every derivative past f' vanishes up to the depth the equation is
     degenerate (any theta works); by convention theta = 1/2 is returned with
@@ -279,33 +285,17 @@ def mvt_theta_infinitesimal(f: Expr, x: float, h: "LCNumber | None" = None,
         theta = LCNumber.from_real(0.5, config)
         return ThetaResult(theta, residual(theta), 0, degenerate=True)
 
-    theta0 = (k + 1) ** (-1.0 / k)
-    theta = LCNumber.from_real(theta0, config)
+    theta = LCNumber.from_real((k + 1) ** (-1.0 / k), config)
     fpp = symbolic_derivative(fp, var)
-    # Residual coefficients within eq_tol of delta_f's size count as solved.
-    noise = config.eq_tol * max(1.0, field.coefficient_norm(delta_f))
-
-    def progress(r: LCNumber) -> tuple:
-        """(lowest unsolved order, size) of a residual."""
-        return next((q for q, c in r.terms if abs(c) > noise), math.inf), field.coefficient_norm(r)
-
+    q = h.leading_exponent
+    exact = q  # theta is correct below eps^exact
     r = residual(theta)
-    for _ in range(80):
-        if r.is_zero:
-            break
+    while exact <= config.depth and not r.is_zero:
         shifted = field.add(x_lc, field.mul(theta, h))
         dphi = field.neg(field.mul(field.mul(h, h), eval_hyper(fpp, {var: shifted}, config)))
-        if dphi.is_zero:
-            break
-        step = field.mul(r, field.inv(dphi))
-        new_theta = field.sub(theta, step)
-        new_r = residual(new_theta)
-        (order, size), (new_order, new_size) = progress(r), progress(new_r)
-        if new_order <= order and new_size >= size:
-            break
-        theta, r = new_theta, new_r
-        if field.coefficient_norm(step) <= config.eq_tol * max(1.0, field.coefficient_norm(theta)):
-            break
+        theta = field.sub(theta, field.mul(r, field.inv(dphi)))
+        r = residual(theta)
+        exact = 2 * exact + q if k == 1 else 2 * exact
     return ThetaResult(theta, r, k)
 
 

@@ -118,22 +118,16 @@ def _resolve_settings(args) -> tuple:
     if path:
         file_values = _read_config_file(path)
 
-    def pick(name, cast, fallback):
+    def pick(name, cast):
         flag = getattr(args, name, None)
         if flag is not None:
             return flag
-        if name in file_values:
-            return cast(file_values[name])
-        return fallback
+        return cast(file_values[name]) if name in file_values else None
 
-    defaults = FieldConfig()
-    config = FieldConfig(
-        depth=pick("depth", int, defaults.depth),
-        max_terms=pick("max_terms", int, defaults.max_terms),
-        zero_tol=pick("zero_tol", float, defaults.zero_tol),
-        eq_tol=pick("eq_tol", float, defaults.eq_tol),
-    )
-    fmt = pick("format", str, "text")
+    given = {name: pick(name, cast) for name, cast in
+             (("depth", int), ("max_terms", int), ("zero_tol", float), ("eq_tol", float))}
+    config = FieldConfig(**{name: value for name, value in given.items() if value is not None})
+    fmt = pick("format", str) or "text"
     if fmt not in ("text", "json"):
         raise LevicalcError(f"bad output format {fmt!r}")
     return config, fmt, file_values
@@ -298,7 +292,7 @@ def main(argv=None) -> int:
         config, fmt, file_values = _resolve_settings(args)
         _apply_file_defaults(args, file_values)
         return _COMMANDS[args.command](args, config, fmt)
-    except LevicalcError as e:
+    except (LevicalcError, ValueError) as e:
         print(f"{type(e).__name__}: {e}", file=sys.stderr)
         return 1
     except OSError as e:

@@ -285,6 +285,8 @@ def _real_call(func: str, u: RealValue) -> RealValue:
         return fn(u)
     except OverflowError:
         raise NotFinite(f"{func}({u}) overflows") from None
+    except ValueError:  # math.sin and math.cos of an overflowed (infinite) argument
+        raise NotFinite(f"{func}({u}) is not finite") from None
 
 
 _REALS = _Algebra(operator, lambda value: value, _real_div, _real_pow, _real_call)

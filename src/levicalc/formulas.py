@@ -294,6 +294,8 @@ class SamplerConfig:
                    jets well conditioned, so identities are checked against
                    eq_tol rather than against float-noise blowup.
     exp_den_bound  largest denominator of randomly drawn exponents
+
+    The three budgets must be at least 1: a verdict needs evaluations.
     """
 
     samples: int = 1000
@@ -304,6 +306,11 @@ class SamplerConfig:
     series_bound: float = 2.0
     exp_den_bound: int = 3
     seed: int = 0
+
+    def __post_init__(self):
+        for name in ("samples", "witness_pool", "nested_samples"):
+            if getattr(self, name) < 1:
+                raise ValueError(f"{name} must be >= 1")
 
 
 def _draw_coef(rng: random.Random, cfg: SamplerConfig, positive: bool) -> float:

@@ -3,6 +3,7 @@
 import math
 import random
 import warnings
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -239,6 +240,49 @@ def test_mvt_infinitesimal_general_h():
     assert abs(r.theta.coefficient(0) - 0.5) <= 1e-12
     assert abs(r.theta.coefficient(2) - 2.0 / 24) <= 1e-10  # theta = 1/2 + h/24, h = 2 eps^2
     assert r.residual_norm <= 1e-10
+
+
+@pytest.mark.parametrize("src, x, c, want", [
+    ("exp(x)", 0.0, 1000.0, 1000.0 / 24),  # f'''/f'' = 1
+    ("log(x)", 2.0, 100.0, -100.0 / 24),  # f'''/f'' = (1/4)/(-1/4)
+])
+def test_mvt_infinitesimal_scaled_h(src, x, c, want):
+    # theta = 1/2 + f'''/(24 f'') * h, so with h = c*eps its eps coefficient
+    # scales with c, however large the coefficients of f(x+h) - f(x) get
+    h = field.mul(field.LCNumber.from_real(c), eps())
+    r = mvt_theta_infinitesimal(f(src), x, h)
+    assert abs(r.theta.coefficient(0) - 0.5) <= 1e-12
+    assert abs(r.theta.coefficient(1) - want) <= 1e-9 * abs(want)
+
+
+def hensel_steps(depth, q, k):
+    """Newton steps of mvt_theta_infinitesimal, as its docstring states them."""
+    ratio = Fraction(depth) / q + (1 if k == 1 else 0)
+    floor_log2 = int(ratio).bit_length() - 1
+    return floor_log2 if k == 1 else max(0, floor_log2 + 1)
+
+
+@pytest.mark.parametrize("depth", [4, 10, 20])
+@pytest.mark.parametrize("h_src", ["eps", "eps^(1/3)", "2*eps^2 + eps^3"])
+@pytest.mark.parametrize("src, k", [("exp(x)", 1), ("sin(x)", 2), ("x^4 + x^5", 3)])
+def test_mvt_infinitesimal_step_count(monkeypatch, src, k, h_src, depth):
+    # Three evaluations to set up and two per Newton step, for no more steps
+    # than the Hensel schedule fixes in advance.
+    calls = []
+    real_eval_hyper = calculus.eval_hyper
+
+    def counting(*args, **kwargs):
+        calls.append(1)
+        return real_eval_hyper(*args, **kwargs)
+
+    monkeypatch.setattr(calculus, "eval_hyper", counting)
+    h = field.parse_lc(h_src, field.FieldConfig(depth=depth))
+    r = mvt_theta_infinitesimal(f(src), 0.0, h)
+    assert r.leading_order == k
+    assert abs(r.theta.coefficient(0) - (k + 1) ** (-1 / k)) <= 1e-12
+    assert len(calls) <= 3 + 2 * hensel_steps(depth, h.leading_exponent, k)
+    if depth == 10:
+        assert r.residual_norm <= 1e-10
 
 
 def test_mvt_infinitesimal_rejects_non_infinitesimal():

@@ -164,3 +164,19 @@ def test_bad_config_file(tmp_path, capsys):
     cfg.write_text("nonsense = 1\n")
     code, _, err = run(capsys, "--config", str(cfg), "eval", "1")
     assert code == 1 and "unknown config key" in err
+
+
+@pytest.mark.parametrize("argv", [
+    ["--depth", "0", "st", "1"],
+    ["--eq-tol", "1e-20", "st", "1"],
+    ["--config", "{samples_abc}", "transfer-check", f"{FORMULAS}/transfer.fof"],
+    ["mvt-theta", "x", "--x", "0", "--h", "0"],
+    ["evt-max", "x", "--a", "1", "--b", "0"],
+    ["transfer-check", f"{FORMULAS}/falsified.fof", "--samples", "0"],
+], ids=["depth-0", "eq-tol-below-zero-tol", "config-samples-abc", "mvt-h-0", "evt-empty", "samples-0"])
+def test_bad_values_are_one_line_errors(tmp_path, capsys, argv):
+    cfg = tmp_path / "samples.conf"
+    cfg.write_text("samples = abc\n")
+    code, out, err = run(capsys, *(arg.replace("{samples_abc}", str(cfg)) for arg in argv))
+    assert code == 1 and out == ""
+    assert err.startswith("ValueError: ") and err.count("\n") == 1, err

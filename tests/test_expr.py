@@ -125,7 +125,8 @@ def test_eval_real_overflow_is_not_finite():
         eval_real(parse_expr("x^40"), {"x": 1e10})
 
 
-@pytest.mark.parametrize("src, x", [("x*x*x", 1e103), ("x*x - 2*x*x", 1e200), ("x + x", 1e308)])
+@pytest.mark.parametrize("src, x", [("x*x*x", 1e103), ("x*x - 2*x*x", 1e200), ("x + x", 1e308),
+                                    ("sin(x*x*x)", 1e103)])
 def test_eval_real_arithmetic_overflow_is_not_finite(src, x):
     # float +, - and * overflow to inf (or inf - inf = nan) without raising
     with pytest.raises(NotFinite):

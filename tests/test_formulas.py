@@ -161,6 +161,13 @@ def test_sample_contracts():
             assert stratum_contains(u, stratum), (stratum, str(u))
 
 
+@pytest.mark.parametrize("budget", ["samples", "witness_pool", "nested_samples"])
+def test_sampler_rejects_empty_budget(budget):
+    # a verdict drawn from zero evaluations says nothing
+    with pytest.raises(ValueError, match=budget):
+        SamplerConfig(**{budget: 0})
+
+
 def test_sample_specific_contracts():
     cfg = SamplerConfig(seed=3)
     rng = random.Random(4)
