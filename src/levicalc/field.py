@@ -47,6 +47,9 @@ class FieldConfig:
     max_terms  hard cap on the number of stored terms
     zero_tol   coefficients at or below this magnitude are dropped
     eq_tol     coefficientwise tolerance used by compare() for equality
+
+    The hash is computed once: configs key the caches of every field-side
+    evaluation, so it is taken far more often than a config is made.
     """
 
     depth: int = 10
@@ -63,6 +66,10 @@ class FieldConfig:
             raise ValueError("zero_tol must be >= 0")
         if self.eq_tol < self.zero_tol:
             raise ValueError("eq_tol must be >= zero_tol")
+        object.__setattr__(self, "_hash", hash((self.depth, self.max_terms, self.zero_tol, self.eq_tol)))
+
+    def __hash__(self):
+        return self._hash
 
 
 DEFAULT_CONFIG = FieldConfig()

@@ -22,10 +22,9 @@ the tolerance that was used.
 from __future__ import annotations
 
 import itertools
+import math
 import random
 from dataclasses import dataclass, field as dc_field
-from fractions import Fraction
-from functools import lru_cache
 from typing import Mapping
 
 from . import field
@@ -295,7 +294,11 @@ class SamplerConfig:
                    eq_tol rather than against float-noise blowup.
     exp_den_bound  largest denominator of randomly drawn exponents
 
-    The three budgets must be at least 1: a verdict needs evaluations.
+    The three budgets must be at least 1: a verdict needs evaluations.  The
+    draws must be able to finish: coef_range is finite with lo < hi and
+    reaches past 0.05 in magnitude, series_bound is finite and above 0.05,
+    exp_den_bound is at least 1, and the weights are finite and >= 0 with a
+    positive total over the shapes of "finite" and over those of "any".
     """
 
     samples: int = 1000
@@ -311,26 +314,26 @@ class SamplerConfig:
         for name in ("samples", "witness_pool", "nested_samples"):
             if getattr(self, name) < 1:
                 raise ValueError(f"{name} must be >= 1")
+        lo, hi = self.coef_range
+        if not (math.isfinite(lo) and math.isfinite(hi) and lo < hi and max(-lo, hi) > 0.05):
+            raise ValueError("coef_range must be finite with lo < hi and reach past 0.05 in magnitude")
+        if not (math.isfinite(self.series_bound) and self.series_bound > 0.05):
+            raise ValueError("series_bound must be finite and > 0.05")
+        if self.exp_den_bound < 1:
+            raise ValueError("exp_den_bound must be >= 1")
+        if not all(math.isfinite(w) and w >= 0 for w in self.weights.values()) or not all(
+                sum(self.weights.get(s, 1.0) for s in _STRATUM_SHAPES[stratum]) > 0
+                for stratum in ("finite", "any")):
+            raise ValueError("weights must be finite and >= 0, with a positive total over the "
+                             "shapes of 'finite' and of 'any'")
 
 
-def _draw_coef(rng: random.Random, cfg: SamplerConfig, positive: bool) -> float:
-    lo, hi = cfg.coef_range
+def _draw_coef(rng: random.Random, lo: float, hi: float, positive: bool) -> float:
+    """Uniform on [lo, hi], drawn again until its magnitude is at least 0.05."""
     while True:
         c = rng.uniform(lo, hi)
         if abs(c) >= 0.05:
             return abs(c) if positive else c
-
-
-def _draw_series_coef(rng: random.Random, cfg: SamplerConfig, positive: bool) -> float:
-    while True:
-        c = rng.uniform(-cfg.series_bound, cfg.series_bound)
-        if abs(c) >= 0.05:
-            return abs(c) if positive else c
-
-
-@lru_cache(maxsize=4096)
-def _rational(num: int, den: int) -> Fraction:
-    return Fraction(num, den)
 
 
 def _draw_exponent(rng: random.Random, cfg: SamplerConfig) -> tuple:
@@ -339,29 +342,35 @@ def _draw_exponent(rng: random.Random, cfg: SamplerConfig) -> tuple:
     return rng.randrange(2 * den) + 1, den
 
 
-def _draw_terms(rng, cfg, lead_exp, lead):
+def _draw_terms(rng, cfg, lead_exp, lead, config):
+    """The series with leading order lead_exp = (num, den) and coefficient
+    lead, plus up to two drawn higher orders, built on the integer lattice
+    1/(den * lcm of the drawn denominators) and normalized as LCNumber is."""
     lead_num, lead_den = lead_exp
-    terms = [(_rational(lead_num, lead_den), lead)]
     cap = 0.5 * min(abs(lead), 1.0)
-    for _ in range(rng.randint(0, 2)):
-        num, den = _draw_exponent(rng, cfg)
-        terms.append((_rational(lead_num * den + num * lead_den, lead_den * den), rng.uniform(-cap, cap)))
-    return terms
+    tail = [(_draw_exponent(rng, cfg), rng.uniform(-cap, cap)) for _ in range(rng.randint(0, 2))]
+    step = math.lcm(*[den for (_, den), _ in tail])
+    den, k0 = lead_den * step, lead_num * step
+    acc = {k0: lead}
+    for (num, d), c in tail:
+        k = k0 + num * lead_den * (step // d)
+        acc[k] = acc.get(k, 0.0) + c
+    return field._lc(*field._reduced(den, field._settle(acc, den, config)), config)
 
 
 def _sample_shape(shape: str, rng: random.Random, cfg: SamplerConfig,
                   config: FieldConfig, positive: bool) -> LCNumber:
     if shape == "real":
-        return LCNumber([(0, _draw_coef(rng, cfg, positive))], config)
+        return LCNumber.from_real(_draw_coef(rng, *cfg.coef_range, positive), config)
     if shape == "infinitesimal":
-        lead = _draw_series_coef(rng, cfg, positive)
-        return LCNumber(_draw_terms(rng, cfg, _draw_exponent(rng, cfg), lead), config)
+        lead = _draw_coef(rng, -cfg.series_bound, cfg.series_bound, positive)
+        return _draw_terms(rng, cfg, _draw_exponent(rng, cfg), lead, config)
     if shape == "infinite":
-        lead = _draw_series_coef(rng, cfg, positive)
+        lead = _draw_coef(rng, -cfg.series_bound, cfg.series_bound, positive)
         num, den = _draw_exponent(rng, cfg)
-        return LCNumber(_draw_terms(rng, cfg, (-num, den), lead), config)
+        return _draw_terms(rng, cfg, (-num, den), lead, config)
     if shape == "mixed":
-        return LCNumber(_draw_terms(rng, cfg, (0, 1), _draw_coef(rng, cfg, positive)), config)
+        return _draw_terms(rng, cfg, (0, 1), _draw_coef(rng, *cfg.coef_range, positive), config)
     raise ValueError(f"unknown shape '{shape}'")
 
 
@@ -413,15 +422,8 @@ def stratum_contains(u: LCNumber, stratum: str) -> bool:
 
 def _coverage_values(stratum: str, config: FieldConfig) -> list:
     """Deterministic probes guaranteeing every compatible shape shows up."""
-    e = field.eps(config)
-    candidates = [
-        field.zero(config),
-        field.one(config),
-        e,
-        field.infinite(config),
-        field.add(field.one(config), e),
-        field.neg(field.one(config)),
-    ]
+    one, e = field.one(config), field.eps(config)
+    candidates = [field.zero(config), one, e, field.infinite(config), field.add(one, e), field.neg(one)]
     return [u for u in candidates if stratum_contains(u, stratum)]
 
 
@@ -454,27 +456,64 @@ class CheckReport:
         return out
 
 
-@lru_cache(maxsize=None)
-def _uses_eps(e: Expr) -> bool:
-    return "eps" in free_variables(e)
+_ACCEPT = {"<": (LESS,), "<=": (LESS, EQUAL), "=": (EQUAL,)}
 
 
-class _BindingContext:
-    """Per-assignment evaluation context: the field binding (with the eps
-    literal bound), plus the same binding projected to floats when every
-    value is real, enabling a cheap scalar path."""
+def _bind(binding, eps_value) -> tuple:
+    """The field binding with the eps literal bound, and the same binding
+    projected to floats when every value is real (else None) for the cheap
+    scalar path."""
+    reals = {}
+    for name, u in binding.items():
+        pairs = u._pairs
+        if pairs and (len(pairs) > 1 or pairs[0][0] != 0):
+            reals = None
+            break
+        reals[name] = pairs[0][1] if pairs else 0.0
+    if "eps" not in binding:
+        binding = {**binding, "eps": eps_value}
+    return binding, reals
 
-    __slots__ = ("binding", "reals", "config")
 
-    def __init__(self, binding, config, eps_value):
-        self.config = config
-        if all(u.is_real for u in binding.values()):
-            self.reals = {name: u.coefficient(0) for name, u in binding.items()}
-        else:
-            self.reals = None
-        if "eps" not in binding:
-            binding = {**binding, "eps": eps_value}
-        self.binding = binding
+def _compile(node, config: FieldConfig):
+    """The matrix as one predicate of (binding, reals), resolved once: each
+    connective becomes a closure over its compiled operands, and each atom
+    knows up front its accepted orders and whether a side uses eps.
+    Connectives short-circuit left to right."""
+    if isinstance(node, Atom):
+        return _compile_atom(node, config)
+    if isinstance(node, Not):
+        operand = _compile(node.operand, config)
+        return lambda binding, reals: not operand(binding, reals)
+    if isinstance(node, (And, Or, Implies)):
+        left, right = _compile(node.left, config), _compile(node.right, config)
+        if isinstance(node, And):
+            return lambda binding, reals: left(binding, reals) and right(binding, reals)
+        if isinstance(node, Or):
+            return lambda binding, reals: left(binding, reals) or right(binding, reals)
+        return lambda binding, reals: not left(binding, reals) or right(binding, reals)
+    raise TypeError(f"not a matrix node: {node!r}")
+
+
+def _compile_atom(atom: Atom, config: FieldConfig):
+    if atom.op not in _ACCEPT:
+        raise TypeError(f"not a comparison operator: {atom.op!r}")
+    left, right, accept, eq_tol = atom.left, atom.right, _ACCEPT[atom.op], config.eq_tol
+    scalar = "eps" not in free_variables(left) | free_variables(right)
+
+    def holds(binding, reals) -> bool:
+        try:
+            if scalar and reals is not None:
+                d = eval_real(left, reals) - eval_real(right, reals)
+                order = EQUAL if abs(d) <= eq_tol else (GREATER if d > 0 else LESS)
+            else:
+                order = field.compare(_eval_hyper(left, binding, config), _eval_hyper(right, binding, config))
+        except LevicalcError as e:
+            rendered = ", ".join(f"{name} = {u}" for name, u in binding.items() if name != "eps")
+            raise EvaluationError(f"{type(e).__name__}: {e} (at {rendered})") from e
+        return order in accept
+
+    return holds
 
 
 def evaluate_matrix(node, binding: Mapping[str, LCNumber], config: FieldConfig = DEFAULT_CONFIG) -> bool:
@@ -483,98 +522,62 @@ def evaluate_matrix(node, binding: Mapping[str, LCNumber], config: FieldConfig =
     Connectives short-circuit left to right, so guards like
     ``not (a = 0) => ...`` protect the terms they dominate.
     """
-    ctx = _BindingContext(dict(binding), config, _eps_cached(config))
-    return _eval_node(node, ctx)
-
-
-@lru_cache(maxsize=None)
-def _eps_cached(config: FieldConfig) -> LCNumber:
-    return field.eps(config)
-
-
-def _eval_node(node, ctx: _BindingContext) -> bool:
-    if isinstance(node, Atom):
-        return _eval_atom(node, ctx)
-    if isinstance(node, Not):
-        return not _eval_node(node.operand, ctx)
-    if isinstance(node, And):
-        return _eval_node(node.left, ctx) and _eval_node(node.right, ctx)
-    if isinstance(node, Or):
-        return _eval_node(node.left, ctx) or _eval_node(node.right, ctx)
-    if isinstance(node, Implies):
-        return (not _eval_node(node.left, ctx)) or _eval_node(node.right, ctx)
-    raise TypeError(f"not a matrix node: {node!r}")
-
-
-def _eval_atom(atom: Atom, ctx: _BindingContext) -> bool:
-    eq_tol = ctx.config.eq_tol
-    try:
-        if ctx.reals is not None and not (_uses_eps(atom.left) or _uses_eps(atom.right)):
-            d = eval_real(atom.left, ctx.reals) - eval_real(atom.right, ctx.reals)
-            order = EQUAL if abs(d) <= eq_tol else (GREATER if d > 0 else LESS)
-        else:
-            left = _eval_hyper(atom.left, ctx.binding, ctx.config)
-            right = _eval_hyper(atom.right, ctx.binding, ctx.config)
-            order = field.compare(left, right)
-    except LevicalcError as e:
-        rendered = ", ".join(f"{name} = {u}" for name, u in ctx.binding.items() if name != "eps")
-        raise EvaluationError(f"{type(e).__name__}: {e} (at {rendered})") from e
-    if atom.op == "<":
-        return order == LESS
-    if atom.op == "<=":
-        return order != GREATER
-    return order == EQUAL
+    return _compile(node, config)(*_bind(dict(binding), field.eps(config)))
 
 
 def _blocks(prefix):
     return [(kind, list(group)) for kind, group in itertools.groupby(prefix, key=lambda q: q.kind)]
 
 
-class _Budget:
-    __slots__ = ("evaluations",)
+class _Game:
+    """What one check sets up once: the compiled matrix, the sampler and its
+    RNG, the eps binding and each stratum's coverage probes.  ``evaluations``
+    counts matrix evaluations."""
 
-    def __init__(self):
+    __slots__ = ("holds", "rng", "cfg", "config", "eps", "probes", "evaluations")
+
+    def __init__(self, formula: Formula, cfg: SamplerConfig, config: FieldConfig):
+        self.holds = _compile(formula.matrix, config)
+        self.rng = random.Random(cfg.seed)
+        self.cfg, self.config = cfg, config
+        self.eps = field.eps(config)
+        self.probes = {q.stratum: _coverage_values(q.stratum, config) for q in formula.prefix}
         self.evaluations = 0
 
 
-def _forall_assignments(quants, n, rng, cfg, config):
+def _forall_assignments(quants, n, game: _Game):
     """Coverage probes (a deterministic product over per-variable probe lists,
     capped at half the budget) followed by joint random draws, n in total."""
-    probe_lists = [_coverage_values(q.stratum, config) for q in quants]
     produced = 0
-    for combo in itertools.islice(itertools.product(*probe_lists), max(1, n // 2)):
+    for combo in itertools.islice(itertools.product(*[game.probes[q.stratum] for q in quants]),
+                                  max(1, n // 2)):
         if produced >= n:
             return
         yield dict(zip((q.var for q in quants), combo))
         produced += 1
+    rng, cfg, config = game.rng, game.cfg, game.config
     while produced < n:
         yield {q.var: sample(q.stratum, cfg, rng, config) for q in quants}
         produced += 1
 
 
-def _witness_candidates(quant, binding, rng, cfg, config):
-    e = _eps_cached(config)
+def _witness_candidates(quant, binding, game: _Game):
+    config, e = game.config, game.eps
     distinguished = []
     for u in binding.values():
         half = field.mul(u, field.LCNumber.from_real(0.5, config))
         distinguished.extend([u, half, field.mul(u, u)])
-    distinguished.extend([
-        field.zero(config),
-        field.one(config),
-        e,
-        field.mul(e, e),
-        field.infinite(config),
-    ])
+    distinguished.extend([field.zero(config), field.one(config), e, field.mul(e, e), field.infinite(config)])
     seen = set()
     for u in distinguished:
         if stratum_contains(u, quant.stratum) and u.terms not in seen:
             seen.add(u.terms)
             yield u
-    for _ in range(cfg.witness_pool):
-        yield sample(quant.stratum, cfg, rng, config)
+    for _ in range(game.cfg.witness_pool):
+        yield sample(quant.stratum, game.cfg, game.rng, config)
 
 
-def _eval_blocks(blocks, matrix, binding, rng, cfg, config, budget, inside_exists, memo=None):
+def _eval_blocks(game: _Game, blocks, binding, inside_exists, memo=None):
     """Recursive game evaluation.  Returns (truth, info) where info carries
     the interesting assignment: a counterexample path for a failing forall,
     or the witness values for a succeeding exists.
@@ -584,24 +587,22 @@ def _eval_blocks(blocks, matrix, binding, rng, cfg, config, budget, inside_exist
     same sample set.
     """
     if not blocks:
-        budget.evaluations += 1
-        ctx = _BindingContext(binding, config, _eps_cached(config))
-        return _eval_node(matrix, ctx), {}
+        game.evaluations += 1
+        return game.holds(*_bind(binding, game.eps)), {}
     kind, quants = blocks[0]
     rest = blocks[1:]
     if kind == "forall":
-        n = cfg.nested_samples if inside_exists else cfg.samples
+        n = game.cfg.nested_samples if inside_exists else game.cfg.samples
         if memo is not None:
             assignments = memo.get(len(blocks))
             if assignments is None:
-                assignments = list(_forall_assignments(quants, n, rng, cfg, config))
+                assignments = list(_forall_assignments(quants, n, game))
                 memo[len(blocks)] = assignments
         else:
-            assignments = _forall_assignments(quants, n, rng, cfg, config)
+            assignments = _forall_assignments(quants, n, game)
         for assignment in assignments:
             new_binding = {**binding, **assignment}
-            ok, info = _eval_blocks(rest, matrix, new_binding, rng, cfg, config, budget,
-                                    inside_exists, memo)
+            ok, info = _eval_blocks(game, rest, new_binding, inside_exists, memo)
             if not ok:
                 return False, {**assignment, **info}
         return True, {}
@@ -609,19 +610,17 @@ def _eval_blocks(blocks, matrix, binding, rng, cfg, config, budget, inside_exist
     # then random; candidates are drawn lazily since most searches succeed
     # within the first few.
     names = [q.var for q in quants]
+    pool = game.cfg.witness_pool
     entry_memo: dict = {}
     if len(quants) == 1:
-        combos = ((u,) for u in itertools.islice(
-            _witness_candidates(quants[0], binding, rng, cfg, config), cfg.witness_pool))
+        combos = ((u,) for u in itertools.islice(_witness_candidates(quants[0], binding, game), pool))
     else:
-        pools = [list(itertools.islice(_witness_candidates(q, binding, rng, cfg, config),
-                                       cfg.witness_pool)) for q in quants]
-        combos = itertools.islice(itertools.product(*pools), cfg.witness_pool * len(quants))
+        pools = [list(itertools.islice(_witness_candidates(q, binding, game), pool)) for q in quants]
+        combos = itertools.islice(itertools.product(*pools), pool * len(quants))
     for combo in combos:
         assignment = dict(zip(names, combo))
         new_binding = {**binding, **assignment}
-        ok, info = _eval_blocks(rest, matrix, new_binding, rng, cfg, config, budget,
-                                True, entry_memo)
+        ok, info = _eval_blocks(game, rest, new_binding, True, entry_memo)
         if ok:
             return True, {**assignment, **info}
     return False, {}
@@ -638,14 +637,13 @@ def check(formula: Formula, cfg: "SamplerConfig | None" = None,
     quantifiers is inconclusive and also reports "witness-not-found".
     """
     cfg = cfg or SamplerConfig()
-    rng = random.Random(cfg.seed)
-    budget = _Budget()
+    game = _Game(formula, cfg, config)
     blocks = _blocks(formula.prefix)
-    truth, info = _eval_blocks(blocks, formula.matrix, {}, rng, cfg, config, budget, False)
+    truth, info = _eval_blocks(game, blocks, {}, False)
 
     has_exists = any(kind == "exists" for kind, _ in blocks)
     root_exists = bool(blocks) and blocks[0][0] == "exists"
-    report = CheckReport("not-falsified", budget.evaluations, cfg.seed, config.eq_tol)
+    report = CheckReport("not-falsified", game.evaluations, cfg.seed, config.eq_tol)
     if truth:
         if root_exists:
             report.verdict = "witness-found"

@@ -18,6 +18,7 @@ from levicalc.expr import (
     Pow,
     Sub,
     Var,
+    _field_algebra,
     eval_hyper,
     eval_real,
     free_variables,
@@ -25,7 +26,7 @@ from levicalc.expr import (
     render_expr,
     symbolic_derivative,
 )
-from levicalc.field import LCNumber, coefficient_norm, eps, one, standard_part, sub
+from levicalc.field import FieldConfig, LCNumber, coefficient_norm, eps, one, standard_part, sub
 from levicalc.formulas import SamplerConfig, sample
 
 CFG = field.DEFAULT_CONFIG
@@ -201,6 +202,15 @@ def test_extension_property_on_real_bindings():
         want = eval_real(e, {"x": x})
         got = standard_part(eval_hyper(e, {"x": x}))
         assert abs(got - want) <= 1e-12 * max(1.0, abs(want))
+
+
+def test_equal_configs_share_one_field_algebra():
+    # The hash is taken once per config and follows equality, so the algebra
+    # cache holds one entry per distinct config.
+    a, b = FieldConfig(depth=7, eq_tol=1e-9), FieldConfig(depth=7, eq_tol=1e-9)
+    assert a is not b and a == b and hash(a) == hash(b)
+    assert _field_algebra(a) is _field_algebra(b)
+    assert _field_algebra(FieldConfig(depth=8)) is not _field_algebra(a)
 
 
 def test_transfer_of_identities_on_field_bindings():

@@ -1,7 +1,11 @@
 """Formula DSL parsing, sampling, and transfer-checker tests."""
 
+import json
+import math
 import random
 import time
+from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
@@ -16,6 +20,7 @@ from levicalc.formulas import (
     Quantifier,
     SamplerConfig,
     STRATA,
+    _STRATUM_SHAPES,
     check,
     evaluate_matrix,
     parse_formula,
@@ -24,6 +29,9 @@ from levicalc.formulas import (
     sample,
     stratum_contains,
 )
+
+FORMULA_DIR = Path(__file__).resolve().parents[1] / "demos" / "formulas"
+GOLDEN_REPORTS = Path(__file__).with_name("check_golden.json")
 
 RECIPROCAL = "forall x: positive, forall y: positive. x < y => 1/y < 1/x"
 RECIPROCAL_NEGATED = "forall x: positive, forall y: positive. x < y => 1/x < 1/y"
@@ -168,6 +176,89 @@ def test_sampler_rejects_empty_budget(budget):
         SamplerConfig(**{budget: 0})
 
 
+@pytest.mark.parametrize("knobs, name", [
+    ({"coef_range": (-0.01, 0.01)}, "coef_range"),
+    ({"coef_range": (1.0, -1.0)}, "coef_range"),
+    ({"coef_range": (-math.inf, math.inf)}, "coef_range"),
+    ({"series_bound": 0.04}, "series_bound"),
+    ({"series_bound": math.nan}, "series_bound"),
+    ({"exp_den_bound": 0}, "exp_den_bound"),
+    ({"weights": {"real": 0.0, "infinitesimal": 0.0, "infinite": 0.0, "mixed": 0.0}}, "weights"),
+    ({"weights": {"real": 0.0, "infinitesimal": 0.0, "mixed": 0.0}}, "weights"),
+    ({"weights": {"real": -1.0}}, "weights"),
+    ({"weights": {"real": math.nan}}, "weights"),
+], ids=["coef_range-small", "coef_range-reversed", "coef_range-infinite", "series_bound-small",
+        "series_bound-nan", "exp_den_bound-zero", "weights-all-zero", "weights-finite-zero",
+        "weights-negative", "weights-nan"])
+def test_sampler_rejects_knobs_that_cannot_draw(knobs, name):
+    # each of these would loop forever or fail inside `random` mid-check
+    with pytest.raises(ValueError, match=name):
+        SamplerConfig(**knobs)
+
+
+def test_sampler_edge_knobs_still_draw():
+    cfg = SamplerConfig(coef_range=(0.0, 0.06), series_bound=0.06, exp_den_bound=1,
+                        weights={"real": 0.0, "infinitesimal": 1.0, "infinite": 0.0, "mixed": 0.0})
+    rng = random.Random(1)
+    for stratum in STRATA:
+        for _ in range(50):
+            assert stratum_contains(sample(stratum, cfg, rng), stratum)
+
+
+def _reference_sample(stratum, cfg, rng, config):
+    """The sampler built the plain way: Fraction exponents, normalized by
+    the LCNumber constructor, with the same random draws in the same order."""
+    def coef(lo, hi, positive):
+        while True:
+            c = rng.uniform(lo, hi)
+            if abs(c) >= 0.05:
+                return abs(c) if positive else c
+
+    def exponent():
+        den = rng.randint(1, cfg.exp_den_bound)
+        return rng.randrange(2 * den) + 1, den
+
+    def terms(lead_exp, lead):
+        lead_num, lead_den = lead_exp
+        out = [(Fraction(lead_num, lead_den), lead)]
+        cap = 0.5 * min(abs(lead), 1.0)
+        for _ in range(rng.randint(0, 2)):
+            num, den = exponent()
+            out.append((Fraction(lead_num * den + num * lead_den, lead_den * den), rng.uniform(-cap, cap)))
+        return out
+
+    shapes = _STRATUM_SHAPES[stratum]
+    weights = [cfg.weights.get(s, 1.0) for s in shapes]
+    shape = rng.choices(shapes, weights)[0] if len(shapes) > 1 else shapes[0]
+    positive = stratum in ("positive", "positive-real")
+    bound = cfg.series_bound
+    if shape == "real":
+        return field.LCNumber([(0, coef(*cfg.coef_range, positive))], config)
+    if shape == "infinitesimal":
+        lead = coef(-bound, bound, positive)
+        return field.LCNumber(terms(exponent(), lead), config)
+    if shape == "infinite":
+        lead = coef(-bound, bound, positive)
+        num, den = exponent()
+        return field.LCNumber(terms((-num, den), lead), config)
+    return field.LCNumber(terms((0, 1), coef(*cfg.coef_range, positive)), config)
+
+
+@pytest.mark.parametrize("stratum", STRATA)
+def test_sampler_matches_fraction_reference(stratum):
+    # The default knobs over 10^4 draws, then a narrow window (depth 1, two
+    # terms, a coarse zero_tol) on finer lattices, where normalization drops
+    # orders: the same lattice, the same pairs and the same RNG state.
+    narrow = field.FieldConfig(depth=1, max_terms=2, zero_tol=0.01, eq_tol=0.01)
+    for cfg, config, draws in ((SamplerConfig(), field.DEFAULT_CONFIG, 10_000),
+                               (SamplerConfig(exp_den_bound=6), narrow, 2_000)):
+        rng, ref_rng = random.Random(17), random.Random(17)
+        for _ in range(draws):
+            u, v = sample(stratum, cfg, rng, config), _reference_sample(stratum, cfg, ref_rng, config)
+            assert (u._den, u._pairs) == (v._den, v._pairs), (str(u), str(v))
+        assert rng.getstate() == ref_rng.getstate()
+
+
 def test_sample_specific_contracts():
     cfg = SamplerConfig(seed=3)
     rng = random.Random(4)
@@ -278,3 +369,17 @@ def test_continuity_formulas_within_budget():
     t_wide = time.perf_counter() - t0
     assert rep.verdict == "not-falsified"
     assert t_real < 5.0 and t_wide < 5.0, (t_real, t_wide)
+
+
+@pytest.mark.parametrize("name", ["continuity.fof", "falsified.fof", "ordered_field.fof", "transfer.fof"])
+def test_check_reports_match_recorded(name):
+    # Reports recorded with the tree-walking matrix evaluator and the
+    # Fraction-based sampler: verdicts, counts and counterexamples stay put.
+    golden = json.loads(GOLDEN_REPORTS.read_text())
+    lines = parse_formula_file((FORMULA_DIR / name).read_text())
+    assert {key for key in golden if key.startswith(name + ":")} == {
+        f"{name}:{lineno}:{seed}" for lineno, _, _ in lines for seed in (5, 13)}
+    for lineno, _, formula in lines:
+        for seed in (5, 13):
+            report = check(formula, SamplerConfig(samples=300, seed=seed)).to_json()
+            assert report == golden[f"{name}:{lineno}:{seed}"], (lineno, seed)
