@@ -27,8 +27,8 @@ import numpy as np
 
 from . import field
 from .errors import DomainError, LevicalcError, NoBracket, NotFinite, OrderTooHigh
-from .expr import (Const, Expr, Mul, Sub, Var, eval_hyper, eval_real, free_variables, render_expr,
-                   symbolic_derivative)
+from .expr import (_REALS, Const, Expr, Mul, Sub, Var, _evaluate, _sharing_plan, eval_hyper, eval_real,
+                   free_variables, render_expr, symbolic_derivative)
 from .field import DEFAULT_CONFIG, FieldConfig, LCNumber
 
 DEFAULT_H_SCHEDULE = tuple(1000 * 2 ** k for k in range(7))
@@ -139,14 +139,33 @@ def _leading_order(f: Expr, x: float, var: str, config: FieldConfig) -> int:
     return 0
 
 
-def _on_grid(f: Expr, var: str, xs: np.ndarray) -> np.ndarray:
-    """f at every point of xs, evaluated as one array of xs's shape.
+# Grid points per walk: the shared-node memo then holds arrays of at most
+# 64 KB, and peak memory does not grow with the grid.
+_CHUNK = 8192
 
-    A constant f is broadcast.  An inf or nan anywhere raises NotFinite, so an
+
+def _on_grid(f: Expr, var: str, xs: np.ndarray, plan: "dict | None" = None) -> np.ndarray:
+    """f at every point of the 1-D grid xs, as one array of xs's shape.
+
+    The grid is walked in chunks of _CHUNK points, each chunk by one
+    `_evaluate` that computes every shared node of f once (``plan`` is
+    `_sharing_plan(f)`, built here when not given).  Every operation is
+    elementwise, so the values are those of one whole-array eval_real, bit
+    for bit.  A chunk that raises makes the whole grid be evaluated at once,
+    so the error reported is the one the whole-array walk meets first.  A
+    constant f is broadcast.  An inf or nan anywhere raises NotFinite, so an
     overflow never reaches a scan, an argmax or a sum as a plausible number.
     """
+    if plan is None:
+        plan = _sharing_plan(f)
+    vals = np.empty(xs.shape)
     with np.errstate(over="ignore", invalid="ignore"):
-        vals = np.broadcast_to(eval_real(f, {var: xs}), xs.shape)
+        try:
+            for i in range(0, len(xs), _CHUNK):
+                vals[i:i + _CHUNK] = _evaluate(f, {var: xs[i:i + _CHUNK]}, _REALS, dict(plan))
+        except LevicalcError:
+            eval_real(f, {var: xs})  # raises the error the unchunked walk meets first
+            raise
     if not np.isfinite(vals).all():
         raise NotFinite(f"{render_expr(f)} is not finite on the grid over [{xs[0]}, {xs[-1]}]")
     return vals
@@ -313,13 +332,14 @@ def evt_max(f: Expr, a: float, b: float, grid: int = 1000, max_rounds: int = 40,
     if not a < b:
         raise ValueError("need a < b")
     var = _the_var(f, var)
+    plan = _sharing_plan(f)
     lo, hi = a, b
     trace = []
     prev_x = None
     x_best = a
     for _ in range(max_rounds):
         xs = np.linspace(lo, hi, grid + 1)
-        vals = _on_grid(f, var, xs)
+        vals = _on_grid(f, var, xs, plan)
         i0 = int(np.argmax(vals))
         x_best = float(xs[i0])
         spacing = (hi - lo) / grid
@@ -356,11 +376,12 @@ def riemann_integral(f: Expr, a: float, b: float,
     constant = var not in free_variables(f)
     fine = max(schedule)
     nested = all(fine % H == 0 and int(fine // H).bit_count() == 1 for H in schedule)
-    finest = _on_grid(f, var, a + (b - a) / fine * np.arange(fine)) if nested else None
+    plan = _sharing_plan(f)
+    finest = _on_grid(f, var, a + (b - a) / fine * np.arange(fine), plan) if nested else None
     sums = []
     for H in schedule:
         w = (b - a) / H
-        vals = finest[::int(fine // H)] if nested else _on_grid(f, var, a + w * np.arange(H))
+        vals = finest[::int(fine // H)] if nested else _on_grid(f, var, a + w * np.arange(H), plan)
         sums.append(float(vals[0]) * (b - a) if constant else float(w * np.sum(vals)))
     extrapolants = []
     for s_prev, s_next, h_prev, h_next in zip(sums, sums[1:], schedule, schedule[1:]):
@@ -412,7 +433,7 @@ def taylor_remainder_check_infinitesimal(f: Expr, a: float, var: "str | None" = 
     integral_terms = [(m + 2, c / float((m + 1) * (m + 2))) for m, c in jet2.terms]
 
     f_a = eval_real(f, {var: a})
-    fp_a = derivative(f, a, 1, var=var, config=config)
+    fp_a = lhs.coefficient(1)  # lhs is the jet of f at a, so this is f'(a)
     rhs = LCNumber([(0, f_a), (1, fp_a)] + integral_terms, config)
 
     # Both sides are only trustworthy on the window of the expansion point

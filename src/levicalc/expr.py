@@ -87,20 +87,24 @@ class Call(Expr):
     arg: Expr
 
 
+def _children(e: Expr) -> tuple:
+    if isinstance(e, (Add, Sub, Mul, Div)):
+        return e.left, e.right
+    if isinstance(e, Pow):
+        return (e.base,)
+    if isinstance(e, Neg):
+        return (e.operand,)
+    if isinstance(e, Call):
+        return (e.arg,)
+    if isinstance(e, (Var, Const)):
+        return ()
+    raise TypeError(f"not an expression node: {e!r}")
+
+
 def free_variables(e: Expr) -> set:
     if isinstance(e, Var):
         return {e.name}
-    if isinstance(e, Const):
-        return set()
-    if isinstance(e, (Add, Sub, Mul, Div)):
-        return free_variables(e.left) | free_variables(e.right)
-    if isinstance(e, Pow):
-        return free_variables(e.base)
-    if isinstance(e, Neg):
-        return free_variables(e.operand)
-    if isinstance(e, Call):
-        return free_variables(e.arg)
-    raise TypeError(f"not an expression node: {e!r}")
+    return set().union(*map(free_variables, _children(e)))
 
 
 # -- parsing -----------------------------------------------------------------
@@ -225,8 +229,31 @@ def render_expr(e: Expr, min_prec: int = 0) -> str:
 # const lifts a constant, and div, pow and call carry the domain checks.
 _Algebra = namedtuple("_Algebra", "ops const div pow call")
 
+_PENDING = object()  # a shared node's value before its first use
 
-def _evaluate(e: Expr, binding: Mapping, alg: _Algebra):
+
+def _sharing_plan(e: Expr) -> dict:
+    """{id(node): (uses, _PENDING)} for every node of e, leaves aside, that
+    is a child of several parents or twice a child of one.  A copy is the
+    memo of one walk of e, which computes a shared node at its first use and
+    drops it after its last.  The ids are valid only while e is alive.
+    """
+    uses = {}
+    stack = [e]
+    while stack:
+        for child in _children(stack.pop()):
+            if type(child) not in (Var, Const):
+                key = id(child)
+                uses[key] = uses.get(key, 0) + 1
+                if uses[key] == 1:
+                    stack.append(child)
+    return {key: (n, _PENDING) for key, n in uses.items() if n > 1}
+
+
+# `memo` is given only by grid evaluation (calculus._on_grid): a copy of
+# `_sharing_plan(e)`, so each shared node is computed once per walk.  The
+# scalar and field walks pass none.
+def _evaluate(e: Expr, binding: Mapping, alg: _Algebra, memo: "dict | None" = None):
     t = type(e)
     if t is Var:
         try:
@@ -235,20 +262,29 @@ def _evaluate(e: Expr, binding: Mapping, alg: _Algebra):
             raise BindingError(f"unbound variable '{e.name}'") from None
     if t is Const:
         return alg.const(e.value)
+    if memo is not None:
+        slot = memo.pop(id(e), None)
+        if slot is not None:  # a shared node: computed once, kept until its last use
+            uses, value = slot
+            if value is _PENDING:
+                value = _evaluate(e, binding, alg, memo)
+            if uses > 1:
+                memo[id(e)] = (uses - 1, value)
+            return value
     if t is Mul:
-        return alg.ops.mul(_evaluate(e.left, binding, alg), _evaluate(e.right, binding, alg))
+        return alg.ops.mul(_evaluate(e.left, binding, alg, memo), _evaluate(e.right, binding, alg, memo))
     if t is Add:
-        return alg.ops.add(_evaluate(e.left, binding, alg), _evaluate(e.right, binding, alg))
+        return alg.ops.add(_evaluate(e.left, binding, alg, memo), _evaluate(e.right, binding, alg, memo))
     if t is Sub:
-        return alg.ops.sub(_evaluate(e.left, binding, alg), _evaluate(e.right, binding, alg))
+        return alg.ops.sub(_evaluate(e.left, binding, alg, memo), _evaluate(e.right, binding, alg, memo))
     if t is Div:
-        return alg.div(_evaluate(e.left, binding, alg), _evaluate(e.right, binding, alg))
+        return alg.div(_evaluate(e.left, binding, alg, memo), _evaluate(e.right, binding, alg, memo))
     if t is Pow:
-        return alg.pow(_evaluate(e.base, binding, alg), e.exponent)
+        return alg.pow(_evaluate(e.base, binding, alg, memo), e.exponent)
     if t is Neg:
-        return alg.ops.neg(_evaluate(e.operand, binding, alg))
+        return alg.ops.neg(_evaluate(e.operand, binding, alg, memo))
     if t is Call:
-        return alg.call(e.func, _evaluate(e.arg, binding, alg))
+        return alg.call(e.func, _evaluate(e.arg, binding, alg, memo))
     raise TypeError(f"not an expression node: {e!r}")
 
 
@@ -436,32 +472,48 @@ def _pow(a: Expr, k: int) -> Expr:
 
 
 def symbolic_derivative(e: Expr, var: str) -> Expr:
-    """Exact derivative by structural rules; only constants get folded."""
+    """Exact derivative by structural rules; only constants get folded.
+
+    Each node object of e is differentiated once, so a subterm that occurs
+    several times in e has one derivative object; the result is == to the
+    tree that differentiating every occurrence afresh would give.
+    """
+    return _derivative(e, var, {})
+
+
+def _derivative(e: Expr, var: str, memo: dict) -> Expr:
+    hit = memo.get(id(e))
+    if hit is None:  # keeping e in the memo keeps its id from being reused within the call
+        hit = memo[id(e)] = (e, _derive_node(e, var, memo))
+    return hit[1]
+
+
+def _derive_node(e: Expr, var: str, memo: dict) -> Expr:
     if isinstance(e, Const):
         return _const(0)
     if isinstance(e, Var):
         return _const(1 if e.name == var else 0)
     if isinstance(e, Add):
-        return _add(symbolic_derivative(e.left, var), symbolic_derivative(e.right, var))
+        return _add(_derivative(e.left, var, memo), _derivative(e.right, var, memo))
     if isinstance(e, Sub):
-        return _sub(symbolic_derivative(e.left, var), symbolic_derivative(e.right, var))
+        return _sub(_derivative(e.left, var, memo), _derivative(e.right, var, memo))
     if isinstance(e, Mul):
-        da = symbolic_derivative(e.left, var)
-        db = symbolic_derivative(e.right, var)
+        da = _derivative(e.left, var, memo)
+        db = _derivative(e.right, var, memo)
         return _add(_mul(da, e.right), _mul(e.left, db))
     if isinstance(e, Div):
-        da = symbolic_derivative(e.left, var)
-        db = symbolic_derivative(e.right, var)
+        da = _derivative(e.left, var, memo)
+        db = _derivative(e.right, var, memo)
         return _div(_sub(_mul(da, e.right), _mul(e.left, db)), _pow(e.right, 2))
     if isinstance(e, Pow):
         if e.exponent == 0:
             return _const(0)
-        db = symbolic_derivative(e.base, var)
+        db = _derivative(e.base, var, memo)
         return _mul(_mul(_const(e.exponent), _pow(e.base, e.exponent - 1)), db)
     if isinstance(e, Neg):
-        return _neg(symbolic_derivative(e.operand, var))
+        return _neg(_derivative(e.operand, var, memo))
     if isinstance(e, Call):
-        du = symbolic_derivative(e.arg, var)
+        du = _derivative(e.arg, var, memo)
         u = e.arg
         if e.func == "sin":
             outer = Call("cos", u)

@@ -298,7 +298,8 @@ class SamplerConfig:
     draws must be able to finish: coef_range is finite with lo < hi and
     reaches past 0.05 in magnitude, series_bound is finite and above 0.05,
     exp_den_bound is at least 1, and the weights are finite and >= 0 with a
-    positive total over the shapes of "finite" and over those of "any".
+    positive total over the shapes of "finite" and over those of "any".  A
+    weights key that names no shape is rejected, not ignored.
     """
 
     samples: int = 1000
@@ -321,6 +322,10 @@ class SamplerConfig:
             raise ValueError("series_bound must be finite and > 0.05")
         if self.exp_den_bound < 1:
             raise ValueError("exp_den_bound must be >= 1")
+        shapes = _default_weights()
+        for key in self.weights:
+            if key not in shapes:
+                raise ValueError(f"weights: {key!r} names no shape; the shapes are {sorted(shapes)}")
         if not all(math.isfinite(w) and w >= 0 for w in self.weights.values()) or not all(
                 sum(self.weights.get(s, 1.0) for s in _STRATUM_SHAPES[stratum]) > 0
                 for stratum in ("finite", "any")):

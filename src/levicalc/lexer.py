@@ -2,19 +2,23 @@
 
 from __future__ import annotations
 
-import string
+import re
 from typing import NamedTuple
 
 from .errors import ParseError
 
-# Two-character symbols must come before their one-character prefixes.
-_SYMBOLS = ("<=", "=>", "+", "-", "*", "/", "^", "(", ")", "<", "=", ",", ".", ":")
-# Numbers are ASCII only: str.isdigit also accepts superscripts and other
-# scripts' digits, which float() then rejects or silently reads.
-_DIGITS = "0123456789"
-# Identifiers likewise: str.isalpha would take "x²" as one name.
-_IDENT_START = string.ascii_letters + "_"
-_IDENT_CHARS = _IDENT_START + _DIGITS
+# One master pattern: spaces, then the first alternative that matches.
+# Numbers and names are ASCII only: str.isdigit also accepts superscripts and
+# other scripts' digits, which float() then rejects or silently reads, and
+# str.isalpha would take "x²" as one name.  Two-character symbols come before
+# their one-character prefixes, and an exponent needs a digit ("1e" is 1, e).
+# Spaces are str.isspace's, one column each; "bad" is any other character.
+_TOKEN = re.compile(r"""[^\S\n]*(?:
+    (?P<number>[0-9]+(?:\.[0-9]+)?(?:[eE][+-]?[0-9]+)?)
+  | (?P<ident>[A-Za-z_][A-Za-z0-9_]*)
+  | (?P<symbol><=|=>|[-+*/^()<=,.:])
+  | (?P<newline>\n)
+  | (?P<bad>\S))""", re.VERBOSE)
 
 
 class Token(NamedTuple):
@@ -26,58 +30,17 @@ class Token(NamedTuple):
 
 def tokenize(src: str) -> list[Token]:
     tokens = []
-    line, col = 1, 1
-    i, n = 0, len(src)
-    while i < n:
-        ch = src[i]
-        if ch == "\n":
-            line += 1
-            col = 1
-            i += 1
+    line, line_start = 1, 0
+    for m in _TOKEN.finditer(src):  # only trailing spaces match nothing
+        kind = m.lastgroup
+        if kind == "newline":
+            line, line_start = line + 1, m.end()
             continue
-        if ch.isspace():
-            i += 1
-            col += 1
-            continue
-        if ch in _DIGITS:
-            j = i
-            while j < n and src[j] in _DIGITS:
-                j += 1
-            if j < n and src[j] == "." and j + 1 < n and src[j + 1] in _DIGITS:
-                j += 1
-                while j < n and src[j] in _DIGITS:
-                    j += 1
-            if j < n and src[j] in "eE":
-                k = j + 1
-                if k < n and src[k] in "+-":
-                    k += 1
-                if k < n and src[k] in _DIGITS:
-                    j = k
-                    while j < n and src[j] in _DIGITS:
-                        j += 1
-            text = src[i:j]
-            tokens.append(Token("number", text, line, col))
-            col += j - i
-            i = j
-            continue
-        if ch in _IDENT_START:
-            j = i
-            while j < n and src[j] in _IDENT_CHARS:
-                j += 1
-            text = src[i:j]
-            tokens.append(Token("ident", text, line, col))
-            col += j - i
-            i = j
-            continue
-        for sym in _SYMBOLS:
-            if src.startswith(sym, i):
-                tokens.append(Token(sym, sym, line, col))
-                col += len(sym)
-                i += len(sym)
-                break
-        else:
-            raise ParseError(f"unexpected character {ch!r}", line, col)
-    tokens.append(Token("end", "", line, col))
+        text, col = m[kind], m.start(kind) - line_start + 1
+        if kind == "bad":
+            raise ParseError(f"unexpected character {text!r}", line, col)
+        tokens.append(Token(text if kind == "symbol" else kind, text, line, col))
+    tokens.append(Token("end", "", line, len(src) - line_start + 1))
     return tokens
 
 

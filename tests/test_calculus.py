@@ -3,12 +3,13 @@
 import math
 import random
 import warnings
+from collections import Counter
 from fractions import Fraction
 
 import numpy as np
 import pytest
 
-from levicalc import calculus, field
+from levicalc import calculus, expr, field
 from levicalc.calculus import (
     derivative,
     evt_max,
@@ -19,7 +20,7 @@ from levicalc.calculus import (
     taylor_remainder_check_infinitesimal,
 )
 from levicalc.errors import DomainError, NotFinite, OrderTooHigh
-from levicalc.expr import eval_real, parse_expr, symbolic_derivative
+from levicalc.expr import Const, Var, eval_hyper, eval_real, parse_expr, symbolic_derivative
 from levicalc.field import coefficient_norm, eps
 
 
@@ -406,6 +407,71 @@ def test_integral_not_finite():
         riemann_integral(f("exp(800 - x^2)"), -30.0, 30.0)
 
 
+# -- grid evaluation ------------------------------------------------------------------
+
+COMPOSITES = ["exp(x) * sin(3*x) / (1 + x^2)", "sqrt(2 + sin(x)^2) * log(3 + x)",
+              "cos(x*exp(-x))^3 - x^4 / (2 + x)"]
+
+
+def second_derivative(src):
+    return symbolic_derivative(symbolic_derivative(f(src), "x"), "x")
+
+
+def inner_nodes(e):
+    """The distinct node objects of e, leaves left out, by id."""
+    nodes, stack = {}, [e]
+    while stack:
+        node = stack.pop()
+        if id(node) not in nodes and not isinstance(node, (Var, Const)):
+            nodes[id(node)] = node
+            stack.extend(expr._children(node))
+    return nodes
+
+
+@pytest.mark.parametrize("n", [1, 8191, 8192, 8193, 64000])
+@pytest.mark.parametrize("src", COMPOSITES)
+def test_on_grid_matches_one_whole_array_walk(src, n):
+    g = second_derivative(src)
+    xs = np.linspace(-0.9, 1.7, n)
+    assert calculus._on_grid(g, "x", xs).tobytes() == eval_real(g, {"x": xs}).tobytes()
+
+
+def test_on_grid_computes_each_shared_node_once_per_chunk(monkeypatch):
+    g = second_derivative(COMPOSITES[0])
+    assert expr._sharing_plan(g)  # f'' shares subterms
+    computed = Counter()
+    real_evaluate = expr._evaluate
+
+    def counting(e, binding, alg, memo=None):
+        if memo is None or id(e) not in memo:  # this call computes e rather than reusing it
+            computed[id(e)] += 1
+        return real_evaluate(e, binding, alg, memo)
+
+    monkeypatch.setattr(expr, "_evaluate", counting)
+    monkeypatch.setattr(calculus, "_evaluate", counting)
+    nodes = inner_nodes(g)
+    xs = np.linspace(0.0, 1.0, 3 * calculus._CHUNK + 5)
+    calculus._on_grid(g, "x", xs)
+    assert {computed[key] for key in nodes} == {4}
+    computed.clear()
+    eval_real(g, {"x": xs})  # the tree walk computes a shared node at every use
+    assert max(computed[key] for key in nodes) > 1
+
+
+def test_chunked_grid_reports_the_whole_grid_error():
+    # x = 0 (division by zero) is in the first chunk, x > 0.9 (sqrt of a
+    # negative value) in a later one; the whole-array walk meets the sqrt first.
+    with pytest.raises(DomainError, match="^sqrt of a negative value$"):
+        riemann_integral(f("sqrt(0.9 - x) + 1/x"), 0.0, 1.0)
+
+
+def test_chunked_grid_not_finite_names_the_whole_grid():
+    xs = 1.0 / 64000 * np.arange(64000)  # the finest default Riemann grid on [0, 1]
+    with pytest.raises(NotFinite) as e:
+        riemann_integral(f("exp(1000*x)"), 0.0, 1.0)
+    assert str(e.value) == f"exp(1000 * x) is not finite on the grid over [{xs[0]}, {xs[-1]}]"
+
+
 # -- Taylor integral remainder ----------------------------------------------------------
 
 
@@ -437,6 +503,26 @@ def test_taylor_remainder_infinitesimal():
 def test_taylor_remainder_infinitesimal_polynomial_exact():
     res = taylor_remainder_check_infinitesimal(f("x^2"), 3.0)
     assert coefficient_norm(res) <= 1e-13
+
+
+@pytest.mark.parametrize("src, a", [("exp(x)", 0.0), ("log(x)", 1.0), ("sin(2*x) * exp(x)", 0.3),
+                                    ("x^3", 0.0), ("sqrt(1 + x^2) / (2 + x)", -0.4)])
+def test_taylor_remainder_infinitesimal_reads_f_prime_off_its_jet(monkeypatch, src, a):
+    # f'(a) is the eps coefficient of the jet f(a + eps), bit for bit what
+    # derivative() computes with a third evaluation.
+    g = f(src)
+    jet = eval_hyper(g, {"x": field.add(field.LCNumber.from_real(a), eps())})
+    assert jet.coefficient(1) == derivative(g, a, 1)
+    calls = []
+    real_eval_hyper = calculus.eval_hyper
+
+    def counting(*args, **kwargs):
+        calls.append(1)
+        return real_eval_hyper(*args, **kwargs)
+
+    monkeypatch.setattr(calculus, "eval_hyper", counting)
+    taylor_remainder_check_infinitesimal(g, a)
+    assert len(calls) == 2
 
 
 def test_mvt_infinitesimal_stops_at_noise_floor(monkeypatch):

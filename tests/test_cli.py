@@ -77,6 +77,13 @@ def test_integrate_json(capsys):
     assert len(data["sums"]) == 7
 
 
+def test_integrate_reports_the_whole_grid_error(capsys):
+    # x = 0 fails the division on the first chunk of the grid; the whole grid
+    # meets sqrt of a negative value (x > 0.9) first, and that is reported.
+    code, out, err = run(capsys, "integrate", "sqrt(0.9 - x) + 1/x", "--a", "0", "--b", "1")
+    assert (code, out, err) == (1, "", "DomainError: sqrt of a negative value\n")
+
+
 def test_taylor_check(capsys):
     code, out, _ = run(capsys, "--format", "json", "taylor-check", "sin(x)", "--a", "0", "--b", "1")
     assert code == 0

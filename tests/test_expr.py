@@ -18,7 +18,14 @@ from levicalc.expr import (
     Pow,
     Sub,
     Var,
+    _add,
+    _const,
+    _div,
     _field_algebra,
+    _mul,
+    _neg,
+    _pow,
+    _sub,
     eval_hyper,
     eval_real,
     free_variables,
@@ -270,3 +277,43 @@ def test_derivative_constant_folding():
     assert symbolic_derivative(parse_expr("3"), "x") == Const(0.0)
     assert symbolic_derivative(parse_expr("x"), "y") == Const(0.0)
     assert symbolic_derivative(parse_expr("2*x + 7"), "x") == Const(2.0)
+
+
+def tree_derivative(e, var):
+    """Differentiate every occurrence afresh: the rules of symbolic_derivative
+    with no memo, as a reference."""
+    if isinstance(e, Const):
+        return _const(0)
+    if isinstance(e, Var):
+        return _const(1 if e.name == var else 0)
+    if isinstance(e, (Add, Sub)):
+        combine = _add if isinstance(e, Add) else _sub
+        return combine(tree_derivative(e.left, var), tree_derivative(e.right, var))
+    if isinstance(e, Mul):
+        return _add(_mul(tree_derivative(e.left, var), e.right), _mul(e.left, tree_derivative(e.right, var)))
+    if isinstance(e, Div):
+        num = _sub(_mul(tree_derivative(e.left, var), e.right), _mul(e.left, tree_derivative(e.right, var)))
+        return _div(num, _pow(e.right, 2))
+    if isinstance(e, Pow):
+        if e.exponent == 0:
+            return _const(0)
+        return _mul(_mul(_const(e.exponent), _pow(e.base, e.exponent - 1)), tree_derivative(e.base, var))
+    if isinstance(e, Neg):
+        return _neg(tree_derivative(e.operand, var))
+    du, u = tree_derivative(e.arg, var), e.arg
+    if e.func == "log":
+        return _div(du, u)
+    if e.func == "sqrt":
+        return _div(du, _mul(_const(2), Call("sqrt", u)))
+    outer = {"sin": Call("cos", u), "cos": _neg(Call("sin", u)), "exp": Call("exp", u)}[e.func]
+    return _mul(outer, du)
+
+
+@pytest.mark.parametrize("src", ["exp(x) * sin(3*x) / (1 + x^2)", "sqrt(2 + sin(x)^2) * log(3 + x)",
+                                 "cos(x*exp(-x))^3 - x^4 / (2 + x)", "x^0 + y*x - 2", "log(sin(x)*x)"])
+def test_derivative_equals_the_tree_reference(src):
+    e = parse_expr(src)
+    memoised, reference = e, e
+    for _ in range(3):
+        memoised, reference = symbolic_derivative(memoised, "x"), tree_derivative(reference, "x")
+        assert memoised == reference

@@ -196,6 +196,13 @@ def test_sampler_rejects_knobs_that_cannot_draw(knobs, name):
         SamplerConfig(**knobs)
 
 
+def test_sampler_rejects_unknown_weight_keys():
+    # "reals" names no shape: ignoring it would leave "real" at weight 1.0,
+    # so every "any" draw would be real.
+    with pytest.raises(ValueError, match="'reals'"):
+        SamplerConfig(weights={"reals": 0.0, "infinitesimal": 0.0, "infinite": 0.0, "mixed": 0.0})
+
+
 def test_sampler_edge_knobs_still_draw():
     cfg = SamplerConfig(coef_range=(0.0, 0.06), series_bound=0.06, exp_den_bound=1,
                         weights={"real": 0.0, "infinitesimal": 1.0, "infinite": 0.0, "mixed": 0.0})
