@@ -274,7 +274,12 @@ def mvt_theta_infinitesimal(f: Expr, x: float, h: "LCNumber | None" = None,
     when k == 1 and max(0, floor(log2(depth/q)) + 1) when k > 1, i.e. 3 and
     4 for h = eps at depth 10.  Each step costs two evaluations, and the
     only early exit is a residual that is exactly zero.  theta's
-    conditioning is not checked, and residual_norm is absolute.
+    conditioning is not checked, and residual_norm is absolute.  So is
+    zero_tol: when h's leading coefficient is small, orders of theta whose
+    coefficients fall below it vanish (for exp at 0, h = 1e-6*eps gives
+    exactly 1/2 with residual_norm 0, though the eps term 1e-6/24 is far
+    above zero_tol).  Scale-aware equality and error radii, planned in
+    ROADMAP.md ("Honest equality"), are the fix.
 
     When every derivative past f' vanishes up to the depth the equation is
     degenerate (any theta works); by convention theta = 1/2 is returned with

@@ -29,7 +29,7 @@ from typing import Mapping
 
 from . import field
 from .errors import BindingError, EvaluationError, LevicalcError, ParseError
-from .expr import Expr, _eval_hyper, eval_real, free_variables, parse_expr_tokens, render_expr
+from .expr import Expr, Var, _eval_hyper, eval_real, free_variables, parse_expr_tokens, render_expr
 from .field import DEFAULT_CONFIG, EQUAL, GREATER, LESS, Classification, FieldConfig, LCNumber
 from .lexer import TokenStream, tokenize
 
@@ -463,35 +463,51 @@ class CheckReport:
 
 _ACCEPT = {"<": (LESS,), "<=": (LESS, EQUAL), "=": (EQUAL,)}
 
+_UNSET = object()  # a hoisted side not yet computed in this run of the innermost loop
+
+
+def _project(values, reals) -> "dict | None":
+    """``reals`` extended with each value as a float when every value is real,
+    else None: the binding of the cheap scalar path."""
+    for name, u in values.items():
+        pairs = u._pairs
+        if pairs and (len(pairs) > 1 or pairs[0][0] != 0):
+            return None
+        reals[name] = pairs[0][1] if pairs else 0.0
+    return reals
+
 
 def _bind(binding, eps_value) -> tuple:
     """The field binding with the eps literal bound, and the same binding
     projected to floats when every value is real (else None) for the cheap
     scalar path."""
-    reals = {}
-    for name, u in binding.items():
-        pairs = u._pairs
-        if pairs and (len(pairs) > 1 or pairs[0][0] != 0):
-            reals = None
-            break
-        reals[name] = pairs[0][1] if pairs else 0.0
+    reals = _project(binding, {})
     if "eps" not in binding:
         binding = {**binding, "eps": eps_value}
     return binding, reals
 
 
-def _compile(node, config: FieldConfig):
+def _compile(node, config: FieldConfig, inner=None, hoisted=None):
     """The matrix as one predicate of (binding, reals), resolved once: each
     connective becomes a closure over its compiled operands, and each atom
     knows up front its accepted orders and whether a side uses eps.
-    Connectives short-circuit left to right."""
+    Connectives short-circuit left to right.
+
+    ``inner`` names the variables of a check's innermost block when outer
+    blocks bind the rest.  An atom side that mentions none of them does not
+    change while that block's loop runs: it is kept in ``hoisted``, which
+    the loop clears each time it starts, with separate entries for the
+    float and the field path.  An atom with no such side compiles as
+    without ``inner``.
+    """
     if isinstance(node, Atom):
-        return _compile_atom(node, config)
+        return _compile_atom(node, config, inner, hoisted)
     if isinstance(node, Not):
-        operand = _compile(node.operand, config)
+        operand = _compile(node.operand, config, inner, hoisted)
         return lambda binding, reals: not operand(binding, reals)
     if isinstance(node, (And, Or, Implies)):
-        left, right = _compile(node.left, config), _compile(node.right, config)
+        left = _compile(node.left, config, inner, hoisted)
+        right = _compile(node.right, config, inner, hoisted)
         if isinstance(node, And):
             return lambda binding, reals: left(binding, reals) and right(binding, reals)
         if isinstance(node, Or):
@@ -500,11 +516,28 @@ def _compile(node, config: FieldConfig):
     raise TypeError(f"not a matrix node: {node!r}")
 
 
-def _compile_atom(atom: Atom, config: FieldConfig):
+def _compile_atom(atom: Atom, config: FieldConfig, inner, hoisted):
     if atom.op not in _ACCEPT:
         raise TypeError(f"not a comparison operator: {atom.op!r}")
     left, right, accept, eq_tol = atom.left, atom.right, _ACCEPT[atom.op], config.eq_tol
-    scalar = "eps" not in free_variables(left) | free_variables(right)
+    left_vars, right_vars = free_variables(left), free_variables(right)
+    scalar = "eps" not in left_vars | right_vars
+    if inner is not None and (left_vars.isdisjoint(inner) or right_vars.isdisjoint(inner)):
+        left_real, left_field = _side(left, left_vars, config, inner, hoisted)
+        right_real, right_field = _side(right, right_vars, config, inner, hoisted)
+
+        def holds(binding, reals) -> bool:
+            try:
+                if scalar and reals is not None:
+                    d = left_real(reals) - right_real(reals)
+                    order = EQUAL if abs(d) <= eq_tol else (GREATER if d > 0 else LESS)
+                else:
+                    order = field.compare(left_field(binding), right_field(binding))
+            except LevicalcError as e:
+                raise _evaluation_error(e, binding) from e
+            return order in accept
+
+        return holds
 
     def holds(binding, reals) -> bool:
         try:
@@ -514,11 +547,42 @@ def _compile_atom(atom: Atom, config: FieldConfig):
             else:
                 order = field.compare(_eval_hyper(left, binding, config), _eval_hyper(right, binding, config))
         except LevicalcError as e:
-            rendered = ", ".join(f"{name} = {u}" for name, u in binding.items() if name != "eps")
-            raise EvaluationError(f"{type(e).__name__}: {e} (at {rendered})") from e
+            raise _evaluation_error(e, binding) from e
         return order in accept
 
     return holds
+
+
+def _side(e: Expr, free: set, config: FieldConfig, inner, hoisted) -> tuple:
+    """The (float, field) readers of one side of an atom with a side that
+    does not change in the innermost loop: a bare variable is read from the
+    binding, and a side mentioning no innermost variable is cached."""
+    if type(e) is Var:
+        name = e.name
+        return (lambda reals: reals[name]), (lambda binding: binding[name])
+    real, hyper = (lambda reals: eval_real(e, reals)), (lambda binding: _eval_hyper(e, binding, config))
+    if not free.isdisjoint(inner):
+        return real, hyper
+    return _cached(real, hoisted), _cached(hyper, hoisted)
+
+
+def _cached(compute, hoisted):
+    """compute, run at the first read after ``hoisted`` is cleared (so a
+    guard still protects it and an error is raised where it was), keyed in
+    ``hoisted`` by compute itself."""
+
+    def read(values):
+        value = hoisted.get(compute, _UNSET)
+        if value is _UNSET:
+            value = hoisted[compute] = compute(values)
+        return value
+
+    return read
+
+
+def _evaluation_error(e: LevicalcError, binding) -> EvaluationError:
+    rendered = ", ".join(f"{name} = {u}" for name, u in binding.items() if name != "eps")
+    return EvaluationError(f"{type(e).__name__}: {e} (at {rendered})")
 
 
 def evaluate_matrix(node, binding: Mapping[str, LCNumber], config: FieldConfig = DEFAULT_CONFIG) -> bool:
@@ -535,14 +599,18 @@ def _blocks(prefix):
 
 
 class _Game:
-    """What one check sets up once: the compiled matrix, the sampler and its
-    RNG, the eps binding and each stratum's coverage probes.  ``evaluations``
-    counts matrix evaluations."""
+    """What one check sets up once: the quantifier blocks, the compiled
+    matrix and the memo of its sides hoisted out of the innermost block, the
+    sampler and its RNG, the eps binding and each stratum's coverage probes.
+    ``evaluations`` counts matrix evaluations."""
 
-    __slots__ = ("holds", "rng", "cfg", "config", "eps", "probes", "evaluations")
+    __slots__ = ("blocks", "holds", "hoisted", "rng", "cfg", "config", "eps", "probes", "evaluations")
 
     def __init__(self, formula: Formula, cfg: SamplerConfig, config: FieldConfig):
-        self.holds = _compile(formula.matrix, config)
+        self.blocks = _blocks(formula.prefix)
+        inner = {q.var for q in self.blocks[-1][1]} if len(self.blocks) > 1 else None
+        self.hoisted = {}
+        self.holds = _compile(formula.matrix, config, inner, self.hoisted)
         self.rng = random.Random(cfg.seed)
         self.cfg, self.config = cfg, config
         self.eps = field.eps(config)
@@ -605,9 +673,9 @@ def _eval_blocks(game: _Game, blocks, binding, inside_exists, memo=None):
                 memo[len(blocks)] = assignments
         else:
             assignments = _forall_assignments(quants, n, game)
+        descend = _descend(game, rest, binding, inside_exists, memo)
         for assignment in assignments:
-            new_binding = {**binding, **assignment}
-            ok, info = _eval_blocks(game, rest, new_binding, inside_exists, memo)
+            ok, info = descend(assignment)
             if not ok:
                 return False, {**assignment, **info}
         return True, {}
@@ -616,19 +684,39 @@ def _eval_blocks(game: _Game, blocks, binding, inside_exists, memo=None):
     # within the first few.
     names = [q.var for q in quants]
     pool = game.cfg.witness_pool
-    entry_memo: dict = {}
     if len(quants) == 1:
         combos = ((u,) for u in itertools.islice(_witness_candidates(quants[0], binding, game), pool))
     else:
         pools = [list(itertools.islice(_witness_candidates(q, binding, game), pool)) for q in quants]
         combos = itertools.islice(itertools.product(*pools), pool * len(quants))
+    descend = _descend(game, rest, binding, True, {})
     for combo in combos:
         assignment = dict(zip(names, combo))
-        new_binding = {**binding, **assignment}
-        ok, info = _eval_blocks(game, rest, new_binding, True, entry_memo)
+        ok, info = descend(assignment)
         if ok:
             return True, {**assignment, **info}
     return False, {}
+
+
+def _descend(game: _Game, rest, binding, inside_exists, memo):
+    """The evaluation of the blocks after the current one, as a function of
+    an assignment of the current block made under ``binding``."""
+    if rest:
+        return lambda assignment: _eval_blocks(game, rest, {**binding, **assignment}, inside_exists, memo)
+    # The innermost block: a new outer binding, so the hoisted sides are
+    # forgotten, and its eps entry and real projection are built once for
+    # the whole loop.  ``binding`` itself stays free of eps, since the
+    # witness candidates are drawn from its values.
+    game.hoisted.clear()
+    outer, outer_reals = _bind(binding, game.eps)
+    holds = game.holds
+
+    def evaluate(assignment):
+        game.evaluations += 1
+        reals = None if outer_reals is None else _project(assignment, dict(outer_reals))
+        return holds({**outer, **assignment}, reals), {}
+
+    return evaluate
 
 
 def check(formula: Formula, cfg: "SamplerConfig | None" = None,
@@ -643,7 +731,7 @@ def check(formula: Formula, cfg: "SamplerConfig | None" = None,
     """
     cfg = cfg or SamplerConfig()
     game = _Game(formula, cfg, config)
-    blocks = _blocks(formula.prefix)
+    blocks = game.blocks
     truth, info = _eval_blocks(game, blocks, {}, False)
 
     has_exists = any(kind == "exists" for kind, _ in blocks)

@@ -9,7 +9,7 @@ from pathlib import Path
 
 import pytest
 
-from levicalc import field
+from levicalc import field, formulas
 from levicalc.errors import BindingError, EvaluationError, ParseError
 from levicalc.formulas import (
     And,
@@ -356,6 +356,78 @@ def test_unguarded_division_reports_evaluation_error():
     # either way the binding is reported, not swallowed
     assert "division by zero" in str(e.value) or "DivisionByZero" in str(e.value)
     assert "a = " in str(e.value)
+
+
+def test_hoisted_side_waits_for_its_guard():
+    # 1/a does not change under "forall c", so it is hoisted out of that
+    # loop; the a = 0 probe must still reach it only through the guard.
+    guarded = parse_formula(
+        "forall a: any, exists b: any, forall c: any. not (a = 0) => (c < 1 / a or 1 / a <= c)")
+    assert check(guarded, SamplerConfig(samples=50, seed=7)).verdict == "not-falsified"
+    bare = parse_formula("forall a: any, exists b: any, forall c: any. c < 1 / a or 1 / a <= c")
+    with pytest.raises(EvaluationError) as e:
+        check(bare, SamplerConfig(samples=50, seed=7))
+    assert "a = " in str(e.value)
+
+
+def test_hoisted_sides_are_computed_once_per_innermost_loop(monkeypatch):
+    # continuity.fof line 4: "0.3 - d" does not mention x, "x^2" does.
+    lines = parse_formula_file((FORMULA_DIR / "continuity.fof").read_text())
+    matrix = lines[1][2].matrix
+    guard, goal = matrix.left, matrix.right
+    delta_low, x_var = guard.left.left, guard.left.right
+    squares = {id(goal.left.right), id(goal.right.left)}
+    calls = []
+    eval_real, eval_hyper, compile_matrix = formulas.eval_real, formulas._eval_hyper, formulas._compile
+
+    def spy_real(e, reals):
+        calls.append((id(e), "real", reals.get("e"), reals.get("d")))
+        return eval_real(e, reals)
+
+    def spy_hyper(e, binding, config):
+        calls.append((id(e), "field", binding["e"].terms, binding["d"].terms))
+        return eval_hyper(e, binding, config)
+
+    evaluations = []
+
+    def recording_compile(node, *args):
+        holds = compile_matrix(node, *args)
+        if node is not matrix:
+            return holds
+
+        def recorded(binding, reals):
+            evaluations.append((binding, reals))
+            return holds(binding, reals)
+
+        return recorded
+
+    monkeypatch.setattr(formulas, "eval_real", spy_real)
+    monkeypatch.setattr(formulas, "_eval_hyper", spy_hyper)
+    monkeypatch.setattr(formulas, "_compile", recording_compile)
+    report = check(lines[1][2], SamplerConfig(samples=300, seed=5)).to_json()
+    assert report == json.loads(GOLDEN_REPORTS.read_text())["continuity.fof:4:5"]
+    assert len(evaluations) == report["samples_used"]
+
+    hoisted = [key for key in calls if key[0] == id(delta_low)]
+    assert {path for _, path, _, _ in hoisted} == {"real", "field"}
+    assert len(hoisted) == len(set(hoisted))  # once per (e, d) pair and path
+    assert not any(key[0] == id(x_var) for key in calls)  # bare variables are read directly
+    hoisted_squares = sum(key[0] in squares for key in calls)
+
+    # The same evaluations through the matrix compiled without hoisting.
+    calls.clear()
+    plain = compile_matrix(matrix, field.DEFAULT_CONFIG)
+    for binding, reals in evaluations:
+        plain(binding, reals)
+    assert sum(key[0] in squares for key in calls) == hoisted_squares > 0
+    assert sum(key[0] == id(delta_low) for key in calls) > 10 * len(hoisted)
+
+
+def test_atom_without_invariant_side_compiles_as_before():
+    atom = parse_formula("forall a: any, exists b: any. a * b < b * b").matrix
+    plain = formulas._compile(atom, field.DEFAULT_CONFIG)
+    assert formulas._compile(atom, field.DEFAULT_CONFIG, {"b"}, {}).__code__ is plain.__code__
+    assert formulas._compile(atom, field.DEFAULT_CONFIG, {"a"}, {}).__code__ is not plain.__code__
 
 
 def test_equality_tolerance_recorded():
