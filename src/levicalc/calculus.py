@@ -103,9 +103,9 @@ def _the_var(f: Expr, var: "str | None") -> str:
     return names.pop() if names else "x"
 
 
-def _jet_at(f: Expr, x0: float, var: str, config: FieldConfig) -> LCNumber:
+def _jet_at(f: Expr, x0: float, var: str, config: FieldConfig, plan: "dict | None" = None) -> LCNumber:
     point = LCNumber([(0, x0), (1, 1.0)], config)
-    return eval_hyper(f, {var: point}, config)
+    return eval_hyper(f, {var: point}, config, plan)
 
 
 def derivative(f: Expr, x0: float, order: int = 1, var: "str | None" = None,
@@ -149,12 +149,14 @@ def _on_grid(f: Expr, var: str, xs: np.ndarray, plan: "dict | None" = None) -> n
 
     The grid is walked in chunks of _CHUNK points, each chunk by one
     `_evaluate` that computes every shared node of f once (``plan`` is
-    `_sharing_plan(f)`, built here when not given).  Every operation is
-    elementwise, so the values are those of one whole-array eval_real, bit
-    for bit.  A chunk that raises makes the whole grid be evaluated at once,
-    so the error reported is the one the whole-array walk meets first.  A
-    constant f is broadcast.  An inf or nan anywhere raises NotFinite, so an
-    overflow never reaches a scan, an argmax or a sum as a plausible number.
+    `_sharing_plan(f)`, built here when not given; a hash-consed derivative
+    shares every repeated subterm).  Every operation is elementwise, and
+    integer powers are taken by squaring in both (`expr._real_pow`), so the
+    values are those of one whole-array eval_real, bit for bit.  A chunk
+    that raises makes the whole grid be evaluated at once, so the error
+    reported is the one the whole-array walk meets first.  A constant f is
+    broadcast.  An inf or nan anywhere raises NotFinite, so an overflow
+    never reaches a scan, an argmax or a sum as a plausible number.
     """
     if plan is None:
         plan = _sharing_plan(f)
@@ -297,13 +299,14 @@ def mvt_theta_infinitesimal(f: Expr, x: float, h: "LCNumber | None" = None,
 
     k = _leading_order(f, x, var, config)
     fp = symbolic_derivative(f, var)
+    fp_plan = _sharing_plan(fp)
     x_lc = LCNumber.from_real(x, config)
     f_x = LCNumber.from_real(eval_real(f, {var: x}), config)
     delta_f = field.sub(eval_hyper(f, {var: field.add(x_lc, h)}, config), f_x)
 
     def residual(theta: LCNumber) -> LCNumber:
         shifted = field.add(x_lc, field.mul(theta, h))
-        return field.sub(delta_f, field.mul(h, eval_hyper(fp, {var: shifted}, config)))
+        return field.sub(delta_f, field.mul(h, eval_hyper(fp, {var: shifted}, config, fp_plan)))
 
     if k == 0:
         theta = LCNumber.from_real(0.5, config)
@@ -311,12 +314,13 @@ def mvt_theta_infinitesimal(f: Expr, x: float, h: "LCNumber | None" = None,
 
     theta = LCNumber.from_real((k + 1) ** (-1.0 / k), config)
     fpp = symbolic_derivative(fp, var)
+    fpp_plan = _sharing_plan(fpp)
     q = h.leading_exponent
     exact = q  # theta is correct below eps^exact
     r = residual(theta)
     while exact <= config.depth and not r.is_zero:
         shifted = field.add(x_lc, field.mul(theta, h))
-        dphi = field.neg(field.mul(field.mul(h, h), eval_hyper(fpp, {var: shifted}, config)))
+        dphi = field.neg(field.mul(field.mul(h, h), eval_hyper(fpp, {var: shifted}, config, fpp_plan)))
         theta = field.sub(theta, field.mul(r, field.inv(dphi)))
         r = residual(theta)
         exact = 2 * exact + q if k == 1 else 2 * exact
@@ -434,7 +438,7 @@ def taylor_remainder_check_infinitesimal(f: Expr, a: float, var: "str | None" = 
     lhs = eval_hyper(f, {var: field.add(a_lc, epsilon)}, config)
 
     fpp = symbolic_derivative(symbolic_derivative(f, var), var)
-    jet2 = _jet_at(fpp, a, var, config)
+    jet2 = _jet_at(fpp, a, var, config, _sharing_plan(fpp))
     integral_terms = [(m + 2, c / float((m + 1) * (m + 2))) for m, c in jet2.terms]
 
     f_a = eval_real(f, {var: a})

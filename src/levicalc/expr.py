@@ -102,9 +102,18 @@ def _children(e: Expr) -> tuple:
 
 
 def free_variables(e: Expr) -> set:
-    if isinstance(e, Var):
-        return {e.name}
-    return set().union(*map(free_variables, _children(e)))
+    """The names of e's variables.  Each node object is visited once, so a
+    derivative DAG costs its distinct nodes, not its unfolded tree."""
+    names, seen, stack = set(), {id(e)}, [e]
+    while stack:
+        node = stack.pop()
+        if type(node) is Var:
+            names.add(node.name)
+        for child in _children(node):
+            if id(child) not in seen:
+                seen.add(id(child))
+                stack.append(child)
+    return names
 
 
 # -- parsing -----------------------------------------------------------------
@@ -250,9 +259,10 @@ def _sharing_plan(e: Expr) -> dict:
     return {key: (n, _PENDING) for key, n in uses.items() if n > 1}
 
 
-# `memo` is given only by grid evaluation (calculus._on_grid): a copy of
-# `_sharing_plan(e)`, so each shared node is computed once per walk.  The
-# scalar and field walks pass none.
+# `memo` is a copy of `_sharing_plan(e)`, so each shared node is computed
+# once per walk.  Grid walks (calculus._on_grid) and field walks of
+# derivative DAGs (eval_hyper's ``plan``) pass one; scalar walks and walks of
+# parsed trees, which repeat no subterm object, pass none.
 def _evaluate(e: Expr, binding: Mapping, alg: _Algebra, memo: "dict | None" = None):
     t = type(e)
     if t is Var:
@@ -303,8 +313,17 @@ def _real_div(num: RealValue, den: RealValue) -> RealValue:
 
 
 def _real_pow(base: RealValue, k: int) -> RealValue:
+    """base**k.  An array with k outside -1..2 is raised by squaring, on 1/base
+    when k < 0 (`field.powi`'s schedule): numpy's ``**`` is some 50x slower
+    on negative bases, and the products stay within (2|k| - 1) rounding
+    units of the exact power.  Inverting first keeps an overflow in numpy's
+    overflow category, which grid walks silence and then report as
+    NotFinite.  Scalars use C pow, whose OverflowError is NotFinite.
+    """
     if k < 0 and _any(base == 0):
         raise DomainError("zero raised to a negative power")
+    if not -1 <= k <= 2 and isinstance(base, np.ndarray):
+        return field._by_squaring(1.0 / base if k < 0 else base, abs(k), operator.mul)
     try:
         return base ** k
     except OverflowError:
@@ -342,23 +361,28 @@ def eval_real(e: Expr, binding: Mapping[str, RealValue]) -> RealValue:
     return value
 
 
-def eval_hyper(e: Expr, binding: Mapping[str, LCNumber], config: FieldConfig | None = None) -> LCNumber:
+def eval_hyper(e: Expr, binding: Mapping[str, LCNumber], config: FieldConfig | None = None,
+               plan: "dict | None" = None) -> LCNumber:
     """Evaluate with field-valued bindings, i.e. apply the extended function.
 
     The walk is eval_real's, with field arithmetic in place of float
     arithmetic and `_call_hyper` extending each primitive.  Real numbers in
     the binding are coerced to exponent-0 elements.  With purely real
-    bindings the result agrees with eval_real to rounding.
+    bindings the result agrees with eval_real to rounding.  ``plan`` is
+    `_sharing_plan(e)`, built once by a caller that walks a derivative DAG
+    several times; each shared node is then computed once per walk, with
+    the same value bit for bit.
     """
     if config is None:
         config = next((v.config for v in binding.values() if isinstance(v, LCNumber)), DEFAULT_CONFIG)
     coerced = {name: value if isinstance(value, LCNumber) else LCNumber.from_real(value, config)
                for name, value in binding.items()}
-    return _eval_hyper(e, coerced, config)
+    return _eval_hyper(e, coerced, config, dict(plan) if plan else None)
 
 
-def _eval_hyper(e: Expr, binding: Mapping[str, LCNumber], config: FieldConfig) -> LCNumber:
-    return _evaluate(e, binding, _field_algebra(config))
+def _eval_hyper(e: Expr, binding: Mapping[str, LCNumber], config: FieldConfig,
+                memo: "dict | None" = None) -> LCNumber:
+    return _evaluate(e, binding, _field_algebra(config), memo)
 
 
 @lru_cache(maxsize=64)
@@ -401,129 +425,156 @@ def _call_hyper(func: str, u: LCNumber) -> LCNumber:
 
 
 # -- symbolic differentiation --------------------------------------------------
+#
+# The smart constructors fold constants.  Given a hash-consing table, they
+# also return the table's node when it already holds one of the same type
+# and fields: subterms by identity (they are table nodes themselves), a
+# float by its bits, so 0.0 and -0.0 stay apart.  Without one they build
+# plain trees.
 
 
-def _const(v) -> Const:
-    return Const(float(v))
+def _node(table: "dict | None", key: tuple, t: type, *fields) -> Expr:
+    if table is None:
+        return t(*fields)
+    node = table.get(key)
+    if node is None:
+        node = table[key] = t(*fields)
+    return node
 
 
-def _add(a: Expr, b: Expr) -> Expr:
+def _const(v, table: "dict | None" = None) -> Const:
+    v = float(v)
+    return _node(table, (Const, v.hex()), Const, v)
+
+
+def _add(a: Expr, b: Expr, table: "dict | None" = None) -> Expr:
     if isinstance(a, Const) and isinstance(b, Const):
-        return _const(a.value + b.value)
+        return _const(a.value + b.value, table)
     if isinstance(a, Const) and a.value == 0:
         return b
     if isinstance(b, Const) and b.value == 0:
         return a
-    return Add(a, b)
+    return _node(table, (Add, id(a), id(b)), Add, a, b)
 
 
-def _sub(a: Expr, b: Expr) -> Expr:
+def _sub(a: Expr, b: Expr, table: "dict | None" = None) -> Expr:
     if isinstance(a, Const) and isinstance(b, Const):
-        return _const(a.value - b.value)
+        return _const(a.value - b.value, table)
     if isinstance(b, Const) and b.value == 0:
         return a
     if isinstance(a, Const) and a.value == 0:
-        return _neg(b)
-    return Sub(a, b)
+        return _neg(b, table)
+    return _node(table, (Sub, id(a), id(b)), Sub, a, b)
 
 
-def _mul(a: Expr, b: Expr) -> Expr:
+def _mul(a: Expr, b: Expr, table: "dict | None" = None) -> Expr:
     if isinstance(a, Const) and isinstance(b, Const):
-        return _const(a.value * b.value)
+        return _const(a.value * b.value, table)
     if isinstance(a, Const):
         if a.value == 0:
-            return _const(0)
+            return _const(0, table)
         if a.value == 1:
             return b
     if isinstance(b, Const):
         if b.value == 0:
-            return _const(0)
+            return _const(0, table)
         if b.value == 1:
             return a
-    return Mul(a, b)
+    return _node(table, (Mul, id(a), id(b)), Mul, a, b)
 
 
-def _div(a: Expr, b: Expr) -> Expr:
+def _div(a: Expr, b: Expr, table: "dict | None" = None) -> Expr:
     if isinstance(a, Const) and a.value == 0 and not (isinstance(b, Const) and b.value == 0):
-        return _const(0)
+        return _const(0, table)
     if isinstance(b, Const) and b.value == 1:
         return a
     if isinstance(a, Const) and isinstance(b, Const) and b.value != 0:
-        return _const(a.value / b.value)
-    return Div(a, b)
+        return _const(a.value / b.value, table)
+    return _node(table, (Div, id(a), id(b)), Div, a, b)
 
 
-def _neg(a: Expr) -> Expr:
+def _neg(a: Expr, table: "dict | None" = None) -> Expr:
     if isinstance(a, Const):
-        return _const(-a.value)
+        return _const(-a.value, table)
     if isinstance(a, Neg):
         return a.operand
-    return Neg(a)
+    return _node(table, (Neg, id(a)), Neg, a)
 
 
-def _pow(a: Expr, k: int) -> Expr:
+def _pow(a: Expr, k: int, table: "dict | None" = None) -> Expr:
     if k == 0:
-        return _const(1)
+        return _const(1, table)
     if k == 1:
         return a
     if isinstance(a, Const) and not (a.value == 0 and k < 0):
-        return _const(a.value ** k)
-    return Pow(a, k)
+        return _const(a.value ** k, table)
+    return _node(table, (Pow, id(a), k), Pow, a, k)
+
+
+def _call(func: str, a: Expr, table: dict) -> Call:
+    return _node(table, (Call, func, id(a)), Call, func, a)
 
 
 def symbolic_derivative(e: Expr, var: str) -> Expr:
     """Exact derivative by structural rules; only constants get folded.
 
-    Each node object of e is differentiated once, so a subterm that occurs
-    several times in e has one derivative object; the result is == to the
-    tree that differentiating every occurrence afresh would give.
+    The result is hash-consed (Filliatre & Conchon, "Type-safe modular
+    hash-consing", 2006): structurally equal subterms are one object, so the
+    chain rule's cos(u) is the cos(u) of e, and `_sharing_plan` finds every
+    repeated subterm by id.  Each node object of e is differentiated once.
+    The result is == to the tree that differentiating every occurrence
+    afresh would give.
     """
-    return _derivative(e, var, {})
+    return _derivative(e, var, {}, {})[1]
 
 
-def _derivative(e: Expr, var: str, memo: dict) -> Expr:
+def _derivative(e: Expr, var: str, memo: dict, table: dict) -> tuple:
+    """(e as a node of the hash-consing table, the derivative of e)."""
     hit = memo.get(id(e))
-    if hit is None:  # keeping e in the memo keeps its id from being reused within the call
-        hit = memo[id(e)] = (e, _derive_node(e, var, memo))
-    return hit[1]
+    if hit is None:  # every node of e stays alive for the call, so no id is reused
+        hit = memo[id(e)] = _derive_node(e, var, memo, table)
+    return hit
 
 
-def _derive_node(e: Expr, var: str, memo: dict) -> Expr:
-    if isinstance(e, Const):
-        return _const(0)
-    if isinstance(e, Var):
-        return _const(1 if e.name == var else 0)
-    if isinstance(e, Add):
-        return _add(_derivative(e.left, var, memo), _derivative(e.right, var, memo))
-    if isinstance(e, Sub):
-        return _sub(_derivative(e.left, var, memo), _derivative(e.right, var, memo))
-    if isinstance(e, Mul):
-        da = _derivative(e.left, var, memo)
-        db = _derivative(e.right, var, memo)
-        return _add(_mul(da, e.right), _mul(e.left, db))
-    if isinstance(e, Div):
-        da = _derivative(e.left, var, memo)
-        db = _derivative(e.right, var, memo)
-        return _div(_sub(_mul(da, e.right), _mul(e.left, db)), _pow(e.right, 2))
-    if isinstance(e, Pow):
-        if e.exponent == 0:
-            return _const(0)
-        db = _derivative(e.base, var, memo)
-        return _mul(_mul(_const(e.exponent), _pow(e.base, e.exponent - 1)), db)
-    if isinstance(e, Neg):
-        return _neg(_derivative(e.operand, var, memo))
-    if isinstance(e, Call):
-        du = _derivative(e.arg, var, memo)
-        u = e.arg
+def _derive_node(e: Expr, var: str, memo: dict, table: dict) -> tuple:
+    t = type(e)
+    if t is Const:
+        return table.setdefault((Const, float(e.value).hex()), e), _const(0, table)
+    if t is Var:
+        return table.setdefault((Var, e.name), e), _const(1 if e.name == var else 0, table)
+    if t is Pow:
+        (b, db), k = _derivative(e.base, var, memo, table), e.exponent
+        u = _node(table, (Pow, id(b), k), Pow, b, k)
+        if k == 0:
+            return u, _const(0, table)
+        return u, _mul(_mul(_const(k, table), _pow(b, k - 1, table), table), db, table)
+    if t is Neg:
+        a, da = _derivative(e.operand, var, memo, table)
+        return _node(table, (Neg, id(a)), Neg, a), _neg(da, table)
+    if t is Call:
+        a, da = _derivative(e.arg, var, memo, table)
+        u = _call(e.func, a, table)
         if e.func == "sin":
-            outer = Call("cos", u)
+            outer = _call("cos", a, table)
         elif e.func == "cos":
-            outer = _neg(Call("sin", u))
+            outer = _neg(_call("sin", a, table), table)
         elif e.func == "exp":
-            outer = Call("exp", u)
+            outer = u
         elif e.func == "log":
-            return _div(du, u)
+            return u, _div(da, a, table)
         else:  # sqrt
-            return _div(du, _mul(_const(2), Call("sqrt", u)))
-        return _mul(outer, du)
-    raise TypeError(f"not an expression node: {e!r}")
+            return u, _div(da, _mul(_const(2, table), u, table), table)
+        return u, _mul(outer, da, table)
+    if t not in (Add, Sub, Mul, Div):
+        raise TypeError(f"not an expression node: {e!r}")
+    (a, da), (b, db) = _derivative(e.left, var, memo, table), _derivative(e.right, var, memo, table)
+    u = table.get((t, id(a), id(b)))
+    if u is None:  # e itself is the table's node when its children already are
+        u = table[t, id(a), id(b)] = e if a is e.left and b is e.right else t(a, b)
+    if t is Add:
+        return u, _add(da, db, table)
+    if t is Sub:
+        return u, _sub(da, db, table)
+    if t is Mul:
+        return u, _add(_mul(da, b, table), _mul(a, db, table), table)
+    return u, _div(_sub(_mul(da, b, table), _mul(a, db, table), table), _pow(b, 2, table), table)

@@ -415,14 +415,21 @@ def powi(a: LCNumber, k: int) -> LCNumber:
         return a
     if k == 2:
         return mul(a, a)
+    return _by_squaring(a, k, mul)
+
+
+def _by_squaring(a, k: int, times):
+    """a**k for k >= 1: a is squared once per bit of k, and the set bits'
+    powers are multiplied in from the low end.  ``times`` is the product,
+    so the same schedule serves `powi` and `expr._real_pow` on arrays.
+    """
     result = None
-    base = a
     while k:
         if k & 1:
-            result = base if result is None else mul(result, base)
+            result = a if result is None else times(result, a)
         k >>= 1
         if k:
-            base = mul(base, base)
+            a = times(a, a)
     return result
 
 

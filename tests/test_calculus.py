@@ -20,7 +20,7 @@ from levicalc.calculus import (
     taylor_remainder_check_infinitesimal,
 )
 from levicalc.errors import DomainError, NotFinite, OrderTooHigh
-from levicalc.expr import Const, Var, eval_hyper, eval_real, parse_expr, symbolic_derivative
+from levicalc.expr import Add, Call, Const, Mul, Var, eval_hyper, eval_real, parse_expr, symbolic_derivative
 from levicalc.field import coefficient_norm, eps
 
 
@@ -456,6 +456,58 @@ def test_on_grid_computes_each_shared_node_once_per_chunk(monkeypatch):
     computed.clear()
     eval_real(g, {"x": xs})  # the tree walk computes a shared node at every use
     assert max(computed[key] for key in nodes) > 1
+
+
+@pytest.mark.parametrize("src", COMPOSITES)
+def test_derivatives_are_hash_consed(src):
+    fp = symbolic_derivative(f(src), "x")
+    for g in (fp, symbolic_derivative(fp, "x")):
+        nodes = list(inner_nodes(g).values())
+        assert len(set(nodes)) == len(nodes)  # no two distinct objects are ==
+
+
+def test_hash_consing_keeps_signed_zeros_apart():
+    d = symbolic_derivative(f("x * (y * 0) + x * (y * -0)"), "x")
+    assert d == Add(Mul(Var("y"), Const(0.0)), Mul(Var("y"), Const(-0.0)))
+    assert d.left is not d.right
+    assert [math.copysign(1.0, m.right.value) for m in (d.left, d.right)] == [1.0, -1.0]
+
+
+def test_on_grid_computes_each_distinct_call_once_per_chunk(monkeypatch):
+    # Counted by structure, not by id: the chain rule's exp(x) and cos(2*x)
+    # must be the very nodes that f and f' already hold.
+    g = second_derivative("sin(2*x) * exp(x)")
+    computed = Counter()
+    real_evaluate = expr._evaluate
+
+    def counting(e, binding, alg, memo=None):
+        if type(e) is Call and (memo is None or id(e) not in memo):
+            computed[e] += 1
+        return real_evaluate(e, binding, alg, memo)
+
+    monkeypatch.setattr(expr, "_evaluate", counting)
+    monkeypatch.setattr(calculus, "_evaluate", counting)
+    calculus._on_grid(g, "x", np.linspace(0.0, 1.0, 3 * calculus._CHUNK + 5))
+    assert computed == {f("sin(2*x)"): 4, f("cos(2*x)"): 4, f("exp(x)"): 4}
+
+
+@pytest.mark.parametrize("src, x", [(src, 0.4) for src in COMPOSITES] + [
+    ("exp(x)", 0.0), ("sin(2*x) * exp(x)", 0.3), ("sqrt(1 + x^2) / (2 + x)", -0.4),
+    ("log(2 + sin(x)) * cos(x)^3", 0.7), ("x^3", 0.0)])
+def test_field_walks_with_a_plan_give_the_same_bits(monkeypatch, src, x):
+    def bits(value):
+        return [(q, c.hex()) for q, c in value.terms]
+
+    def run():
+        r = mvt_theta_infinitesimal(f(src), x)
+        return bits(r.theta), bits(r.residual), bits(taylor_remainder_check_infinitesimal(f(src), x))
+
+    plans = []
+    monkeypatch.setattr(calculus, "_sharing_plan", lambda e: plans.append(expr._sharing_plan(e)) or plans[-1])
+    shared = run()
+    assert len(plans) == 3
+    monkeypatch.setattr(calculus, "_sharing_plan", lambda e: {})
+    assert run() == shared
 
 
 def test_chunked_grid_reports_the_whole_grid_error():

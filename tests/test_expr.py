@@ -2,11 +2,13 @@
 
 import math
 import random
+import warnings
+from fractions import Fraction
 
 import numpy as np
 import pytest
 
-from levicalc import field
+from levicalc import calculus, expr, field
 from levicalc.errors import BindingError, DivisionByZero, DomainError, NotFinite, ParseError
 from levicalc.expr import (
     Add,
@@ -102,6 +104,17 @@ def test_free_variables():
     assert free_variables(parse_expr("3 + 4")) == set()
 
 
+def test_free_variables_visits_each_node_object_once(monkeypatch):
+    g = Mul(Var("x"), Var("y"))
+    for _ in range(12):  # a DAG of 27 objects whose unfolded tree has over 8000 nodes
+        g = Add(g, Neg(g))
+    visited = []
+    real_children = expr._children
+    monkeypatch.setattr(expr, "_children", lambda e: visited.append(e) or real_children(e))
+    assert free_variables(g) == {"x", "y"}
+    assert len(visited) == 27
+
+
 # -- real evaluation ------------------------------------------------------------
 
 
@@ -139,6 +152,36 @@ def test_eval_real_arithmetic_overflow_is_not_finite(src, x):
     # float +, - and * overflow to inf (or inf - inf = nan) without raising
     with pytest.raises(NotFinite):
         eval_real(parse_expr(src), {"x": x})
+
+
+# -- integer powers of arrays ----------------------------------------------------
+
+
+@pytest.mark.parametrize("k", [k for k in range(-8, 9) if abs(k) >= 2])
+def test_array_powers_match_exact_powers(k):
+    # Squaring (on 1/x when k < 0) rounds at most 2|k| - 1 times, each time
+    # within one unit of 2^-53 relative (Higham, ch. 3); Fraction is exact.
+    rng = np.random.default_rng(1000 + k)
+    mantissas = rng.uniform(1.0, 10.0, 400)
+    scales = np.repeat([1e-30, 0.1, 1.0, 1e30], 100)  # tiny, ordinary and huge bases
+    xs = mantissas * scales * rng.choice([-1.0, 1.0], 400)
+    got = eval_real(Pow(Var("x"), k), {"x": xs})
+    bound = (2 * abs(k) - 1) * Fraction(1, 2 ** 53)
+    for x, y in zip(xs.tolist(), got.tolist()):
+        exact = Fraction(x) ** k
+        assert abs(Fraction(y) - exact) <= bound * abs(exact), (x, k, y)
+
+
+def test_array_powers_keep_their_errors():
+    xs = np.array([-2.0, 0.0, 3.0])
+    for k in (-1, -2, -3, -8):
+        with pytest.raises(DomainError, match="zero raised to a negative power"):
+            eval_real(Pow(Var("x"), k), {"x": xs})
+    with warnings.catch_warnings():
+        warnings.simplefilter("error")  # no numpy RuntimeWarning may escape the grid walk
+        for k, x in [(3, 1e110), (-3, 1e-110), (8, -1e40), (-8, -1e-40)]:
+            with pytest.raises(NotFinite):
+                calculus._on_grid(Pow(Var("x"), k), "x", np.array([1.0, x]))
 
 
 ALL_PRIMITIVES = "sqrt(x) + log(x) + exp(x) * sin(x) / cos(x) - x^-2"
