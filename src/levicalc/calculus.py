@@ -13,13 +13,16 @@ The operations here run the classical constructions directly:
   refinement trace is the finite analogue of taking the shadow of a partition
   point on a grid with infinitely many cells;
 * definite integration computes left-endpoint Riemann sums over a growing
-  schedule of grid sizes and extrapolates the ``1/H`` error term away, which
-  is the finite analogue of taking the shadow of an infinite Riemann sum.
+  schedule of nested grids, extrapolates them to ``1/H = 0`` by one
+  Richardson (Neville-Aitken) table, and refines the grid only until that
+  table converges; this is the finite analogue of taking the shadow of an
+  infinite Riemann sum.
 """
 
 from __future__ import annotations
 
 import math
+import operator
 from dataclasses import dataclass, field as dc_field
 from typing import Sequence
 
@@ -84,6 +87,11 @@ class PartitionResult:
 
 @dataclass
 class IntegralResult:
+    """A Riemann integral: ``sums`` are the left sums on the grids of
+    ``H_schedule`` that were used, ``value`` the last diagonal entry of
+    their extrapolation table and ``error`` its distance from the one
+    before (inf when there is a single sum)."""
+
     value: float
     error: float
     H_schedule: list
@@ -91,7 +99,7 @@ class IntegralResult:
     extrapolated: bool
 
     def to_json(self) -> dict:
-        return {"value": self.value, "error": self.error, "sums": self.sums}
+        return {"value": self.value, "error": self.error, "H": self.H_schedule, "sums": self.sums}
 
 
 def _the_var(f: Expr, var: "str | None") -> str:
@@ -363,46 +371,98 @@ def evt_max(f: Expr, a: float, b: float, grid: int = 1000, max_rounds: int = 40,
     return PartitionResult(x_best, max_value, trace[-1][0], trace)
 
 
+def _nests(H: int, G: int) -> bool:
+    """Whether the H-cell left grid is a strided subset of the G-cell one, bit for bit."""
+    return G % H == 0 and (G // H).bit_count() == 1
+
+
 def riemann_integral(f: Expr, a: float, b: float,
                      schedule: "Sequence[int] | None" = None,
                      var: "str | None" = None) -> IntegralResult:
-    """Left-endpoint Riemann sums over a schedule of partition sizes,
-    extrapolated in 1/H; the extrapolated limit is the reported value.
+    """Left-endpoint Riemann sums over a schedule of partition sizes H,
+    extrapolated to 1/H = 0 by one Neville-Aitken table.
+
+    The table is polynomial extrapolation in h = 1/H: column j removes the
+    h^j term of the sums' error.  Grids are taken in schedule order, and
+    refinement stops once at least four sums exist and two successive
+    diagonal entries agree within 1e-12 times the current grid's sum of
+    w*|f|; otherwise it runs to the end of the schedule.  ``value`` is the
+    last diagonal entry, ``error`` its distance from the one before, and
+    ``sums`` and ``H_schedule`` hold only the grids used.  The schedule must
+    be strictly increasing integers >= 1.
 
     Each grid is evaluated as one array, and an inf or nan on it raises
-    NotFinite.  When every H is the largest H divided by a power of two (the
-    default schedule is), every coarser grid is a strided subset of the
-    finest one, bit for bit, so only the finest grid is evaluated.
+    NotFinite.  The first walk evaluates the largest of the first four
+    grids that the ones before it nest into (for the default schedule, the
+    8000-cell grid), and takes those as strided subsets.  A later grid that
+    nests over the current one evaluates only its new points.  Every sum is
+    therefore that of its grid evaluated on its own, bit for bit.  A walk
+    that raises makes the grids be evaluated whole, so the error reported
+    is the one a whole-grid walk meets first: on the finest grid when every
+    grid nests into it (as in the default schedule), otherwise on the first
+    grid, in schedule order, that fails.
     """
     if a > b:
         raise ValueError("need a <= b")
-    schedule = list(schedule) if schedule is not None else list(DEFAULT_H_SCHEDULE)
-    if not schedule or any(H < 1 for H in schedule):
-        raise ValueError("schedule must be a nonempty list of positive partition sizes")
+    if schedule is None:
+        schedule = list(DEFAULT_H_SCHEDULE)
+    else:
+        try:
+            schedule = [operator.index(H) for H in schedule]
+        except TypeError:
+            raise ValueError("schedule entries must be integers") from None
+        if not schedule or schedule[0] < 1 or any(H >= G for H, G in zip(schedule, schedule[1:])):
+            raise ValueError("schedule must be a nonempty, strictly increasing list of partition sizes >= 1")
     var = _the_var(f, var)
     if a == b:
         return IntegralResult(0.0, 0.0, schedule, [0.0] * len(schedule), False)
     constant = var not in free_variables(f)
-    fine = max(schedule)
-    nested = all(fine % H == 0 and int(fine // H).bit_count() == 1 for H in schedule)
     plan = _sharing_plan(f)
-    finest = _on_grid(f, var, a + (b - a) / fine * np.arange(fine), plan) if nested else None
-    sums = []
-    for H in schedule:
+
+    def grid(H: int, js: "np.ndarray | None" = None) -> np.ndarray:
+        # Float indices j are exact, and numpy multiplies them faster than ints.
+        return a + (b - a) / H * (np.arange(H, dtype=float) if js is None else js)
+
+    first = max(i for i in range(min(4, len(schedule)))
+                if all(_nests(H, schedule[i]) for H in schedule[:i]))
+    sums, diagonal, row = [], [], []
+    for i, H in enumerate(schedule):
+        try:
+            if i == 0 or (i > first and not _nests(fine, H)):  # a whole grid
+                fine = schedule[first] if i == 0 else H
+                fine_vals = _on_grid(f, var, grid(fine), plan)
+                abs_sum = float(np.sum(np.abs(fine_vals)))
+            elif i > first:  # evaluate only the new points, interleaved with the old ones
+                s = H // fine
+                new_js = np.arange(0, H, s, dtype=float)[:, None] + np.arange(1, s)
+                new = _on_grid(f, var, grid(H, new_js).ravel(), plan)
+                cells = np.empty((fine, s))
+                cells[:, 0] = fine_vals
+                cells[:, 1:] = new.reshape(fine, s - 1)
+                fine, fine_vals = H, cells.ravel()
+                abs_sum += float(np.sum(np.abs(new, out=new)))
+        except LevicalcError:
+            nested = all(_nests(G, schedule[-1]) for G in schedule)
+            for G in [schedule[-1]] if nested else schedule[:max(i, first) + 1]:
+                _on_grid(f, var, grid(G), plan)  # raises the error the whole-grid walk meets first
+            raise
         w = (b - a) / H
-        vals = finest[::int(fine // H)] if nested else _on_grid(f, var, a + w * np.arange(H), plan)
+        vals = fine_vals[::fine // H]
         sums.append(float(vals[0]) * (b - a) if constant else float(w * np.sum(vals)))
-    extrapolants = []
-    for s_prev, s_next, h_prev, h_next in zip(sums, sums[1:], schedule, schedule[1:]):
-        r = h_next / h_prev
-        extrapolants.append((r * s_next - s_prev) / (r - 1))
-    if not extrapolants:
-        return IntegralResult(sums[-1], math.inf, schedule, sums, False)
-    if len(extrapolants) == 1:
-        error = abs(extrapolants[-1] - sums[-1])
-    else:
-        error = abs(extrapolants[-1] - extrapolants[-2])
-    return IntegralResult(extrapolants[-1], error, schedule, sums, True)
+        # Neville-Aitken in h = 1/H, extrapolated to h = 0:
+        # T[i][j] = T[i][j-1] + (T[i][j-1] - T[i-1][j-1]) * h_i / (h_{i-j} - h_i).
+        new_row = [sums[-1]]
+        for j, below in enumerate(row, 1):
+            new_row.append(new_row[-1] + (new_row[-1] - below) * schedule[i - j] / (H - schedule[i - j]))
+        row = new_row
+        diagonal.append(row[-1])
+        # With four sums, H == fine, so w * abs_sum is this grid's sum of w*|f|.
+        if len(sums) >= 4 and abs(diagonal[-1] - diagonal[-2]) <= 1e-12 * w * abs_sum:
+            break
+    used = schedule[:len(sums)]
+    if len(sums) == 1:
+        return IntegralResult(sums[0], math.inf, used, sums, False)
+    return IntegralResult(diagonal[-1], abs(diagonal[-1] - diagonal[-2]), used, sums, True)
 
 
 def taylor_remainder_check(f: Expr, a: float, b: float, var: "str | None" = None,

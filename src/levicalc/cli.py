@@ -78,7 +78,7 @@ def _build_parser() -> _Parser:
     p.add_argument("--a", type=float, required=True)
     p.add_argument("--b", type=float, required=True)
     p.add_argument("--schedule", default=None, metavar="H1,H2,...",
-                   help="comma-separated partition sizes")
+                   help="comma-separated, strictly increasing partition sizes")
 
     p = sub.add_parser("taylor-check", help="residual of the integral-remainder identity")
     p.add_argument("expr")
@@ -219,7 +219,9 @@ def _cmd_evt_max(args, config, fmt) -> int:
 def _cmd_integrate(args, config, fmt) -> int:
     result = calculus.riemann_integral(parse_expr(args.expr), args.a, args.b,
                                        schedule=_parse_schedule(args.schedule))
-    text = f"integral = {_fmt_float(result.value)}\nerror estimate = {_fmt_float(result.error)}"
+    text = (f"integral = {_fmt_float(result.value)}\n"
+            f"error estimate = {_fmt_float(result.error)}\n"
+            f"H = {', '.join(map(str, result.H_schedule))}")
     _emit(result.to_json(), fmt, text)
     return 0
 

@@ -341,7 +341,8 @@ def test_integral_x_squared():
     r = riemann_integral(f("x^2"), 0.0, 1.0)
     assert abs(r.value - 1.0 / 3) <= 1e-8
     assert r.extrapolated
-    assert len(r.sums) == 7
+    assert r.H_schedule == list(calculus.DEFAULT_H_SCHEDULE[:len(r.H_schedule)])
+    assert len(r.sums) == len(r.H_schedule) >= 4
 
 
 def test_integral_empty_interval():
@@ -385,6 +386,12 @@ def test_integral_custom_schedule():
         riemann_integral(f("x"), 0.0, 1.0, schedule=[])
 
 
+@pytest.mark.parametrize("schedule", [[1000, 1000], [1000, 2000.5], [2000, 1000], [0, 10], ["1000"]])
+def test_integral_bad_schedule_raises(schedule):
+    with pytest.raises(ValueError):
+        riemann_integral(f("sin(x)"), 0.0, 1.0, schedule=schedule)
+
+
 def _per_grid_left_sums(g, a, b, schedule):
     """Left Riemann sums with every grid evaluated on its own (the reference)."""
     sums = []
@@ -399,7 +406,67 @@ def test_integral_sums_match_per_grid_evaluation(schedule):
     g = f("exp(x) * sin(3*x) / (1 + x^2)")
     for a, b in [(-0.7, 1.3), (0.1, 0.35), (-2.0, -1.5)]:
         r = riemann_integral(g, a, b, schedule=schedule)
-        assert r.sums == _per_grid_left_sums(g, a, b, schedule or calculus.DEFAULT_H_SCHEDULE)
+        assert r.sums == _per_grid_left_sums(g, a, b, r.H_schedule)
+
+
+@pytest.mark.parametrize("schedule", [[1000, 3000, 6000, 24000], [500, 1000, 1500, 3000, 12000]])
+def test_integral_refined_sums_match_per_grid_evaluation(schedule):
+    # Fresh grids, one-walk prefixes and new-points-only refinements by 2 and 4.
+    for src in ["exp(x) * sin(3*x) / (1 + x^2)", "sqrt(x)"]:
+        r = riemann_integral(f(src), 0.0, 1.3, schedule=schedule)
+        assert r.sums == _per_grid_left_sums(f(src), 0.0, 1.3, r.H_schedule)
+    assert r.H_schedule == schedule  # sqrt's table does not settle
+
+
+def test_integral_error_precedence_on_a_schedule_that_does_not_nest():
+    # The first walk covers the 2000 grid, where x = 0.0005 divides by zero;
+    # evaluated grid by grid, the 1000 grid fails first, on the sqrt.
+    with pytest.raises(DomainError, match="^sqrt of a negative value$"):
+        riemann_integral(f("1/(x - 0.0005) + sqrt(0.5 - x)"), 0.0, 1.0, schedule=[1000, 2000, 3000])
+
+
+@pytest.mark.parametrize("src, a, b, exact", [
+    ("x^2", 0.0, 1.0, 1.0 / 3), ("sin(x)", 0.0, 1.0, 1.0 - math.cos(1.0)),
+    ("1/(1+x^2)", 0.0, 1.0, math.pi / 4), ("exp(x)", 0.0, 2.0, math.e ** 2 - 1.0)])
+def test_integral_table_converges_on_the_first_walk(src, a, b, exact):
+    r = riemann_integral(f(src), a, b)
+    assert abs(r.value - exact) <= 1e-13 * max(1.0, abs(exact))
+    assert r.H_schedule[-1] <= 8000
+
+
+@pytest.mark.parametrize("src, a, b, exact, bound", [
+    ("sqrt(x)", 0.0, 1.0, 2.0 / 3, 2.5e-9),
+    ("sqrt(1-x*x)", -1.0, 1.0, math.pi / 2, 2.0e-8),
+    ("log(x)", 1e-4, 1.0, -1.0 + 1e-4 - 1e-4 * math.log(1e-4), 2.8e-9)])
+def test_integral_singular_endpoints_refine_and_report_their_error(src, a, b, exact, bound):
+    # The 1/H expansion breaks at the endpoint, so the table never settles
+    # and refinement runs to the finest grid; the reported error must still
+    # cover the actual one, up to the rounding of sums of size L1 = |exact|.
+    r = riemann_integral(f(src), a, b)
+    actual = abs(r.value - exact)
+    assert actual <= bound
+    assert r.error >= actual - 4 * 2.0 ** -52 * abs(exact)
+
+
+def test_integral_evaluates_each_grid_point_at_most_once(monkeypatch):
+    walks, on_grid = [], calculus._on_grid
+
+    def counting(g, var, xs, plan=None):
+        walks.append(xs.copy())
+        return on_grid(g, var, xs, plan)
+
+    monkeypatch.setattr(calculus, "_on_grid", counting)
+    for src, a, b in [("exp(x) * sin(3*x) / (1 + x^2)", -0.7, 1.3), ("sqrt(x)", 0.0, 1.0), ("sin(40*x)", 0.0, 3.0)]:
+        walks.clear()
+        r = riemann_integral(f(src), a, b)
+        points = np.concatenate(walks)
+        assert len(np.unique(points)) == len(points) == r.H_schedule[-1] <= 64000
+
+
+def test_integral_of_a_constant_stops_after_four_sums():
+    for src in ["3", "2 + 0*x"]:
+        r = riemann_integral(f(src), -1.0, 2.0)
+        assert r.H_schedule == [1000, 2000, 4000, 8000] and len(r.sums) == 4
 
 
 def test_integral_not_finite():

@@ -5,6 +5,7 @@ from pathlib import Path
 
 import pytest
 
+from levicalc.calculus import DEFAULT_H_SCHEDULE
 from levicalc.cli import CONFIG_ENV_VAR, main
 
 FORMULAS = str(Path(__file__).resolve().parent.parent / "demos" / "formulas")
@@ -74,7 +75,12 @@ def test_integrate_json(capsys):
     assert code == 0
     data = json.loads(out)
     assert abs(data["value"] - 1 / 3) <= 1e-8
-    assert len(data["sums"]) == 7
+    assert data["H"] == list(DEFAULT_H_SCHEDULE[:len(data["H"])]) and len(data["sums"]) == len(data["H"]) >= 4
+
+
+def test_integrate_text_reports_the_grids_used(capsys):
+    code, out, _ = run(capsys, "integrate", "x^2", "--a", "0", "--b", "1")
+    assert code == 0 and out.splitlines()[-1] == "H = 1000, 2000, 4000, 8000"
 
 
 def test_integrate_reports_the_whole_grid_error(capsys):
@@ -82,6 +88,12 @@ def test_integrate_reports_the_whole_grid_error(capsys):
     # meets sqrt of a negative value (x > 0.9) first, and that is reported.
     code, out, err = run(capsys, "integrate", "sqrt(0.9 - x) + 1/x", "--a", "0", "--b", "1")
     assert (code, out, err) == (1, "", "DomainError: sqrt of a negative value\n")
+
+
+def test_integrate_bad_schedule_is_a_one_line_error(capsys):
+    code, out, err = run(capsys, "integrate", "sin(x)", "--a", "0", "--b", "1", "--schedule", "1000,1000")
+    assert code == 1 and out == ""
+    assert err.startswith("ValueError: ") and err.count("\n") == 1, err
 
 
 def test_taylor_check(capsys):
