@@ -2,7 +2,7 @@
 """The mean value position theta, for finite and infinitesimal increments.
 
 The classical statement f(x+h) - f(x) = h * f'(x + theta*h) pins a point
-inside the interval.  For a real h the solver brackets and polishes a root;
+inside the interval.  For a real h the solver brackets a root and narrows it;
 for an infinitesimal h it returns theta as a series whose leading term is
 (k+1)**(-1/k), k being the order of the first nonvanishing derivative past
 f'.  The two routes agree in the h -> 0 limit, which is the whole point:

@@ -4,10 +4,10 @@ The operations here run the classical constructions directly:
 
 * derivatives read Taylor-jet coefficients off an evaluation at ``x0 + eps``;
 * the mean-value position ``theta`` in ``f(x+h) - f(x) = h * f'(x + theta*h)``
-  is solved both for real increments (bracketed bisection plus a Newton
-  polish) and for infinitesimal increments (Newton's method in the field,
-  seeded at the leading-order solution and run for the number of steps that
-  Hensel's lemma fixes in advance);
+  is solved both for real increments (a scan for a sign change, narrowed by
+  Anderson-Bjorck regula falsi) and for infinitesimal increments (Newton's
+  method in the field, seeded at the leading-order solution and run for the
+  number of steps that Hensel's lemma fixes in advance);
 * the extremum finder simulates an ever-finer equispaced partition of
   ``[a, b]``, taking the argmax index at each stage and zooming in, so the
   refinement trace is the finite analogue of taking the shadow of a partition
@@ -184,23 +184,63 @@ def _on_grid(f: Expr, var: str, xs: np.ndarray, plan: "dict | None" = None) -> n
 _SCAN_POINTS = 1024
 
 
+def _theta_in_bracket(g, a: float, b: float, ga: float, gb: float, tol: float) -> "tuple[float, float]":
+    """A root of g between a and b, given ga = g(a) and gb = g(b) of opposite
+    signs (a == b is a one-point bracket), by regula falsi with the
+    Anderson-Bjorck modification (BIT 13, 1973).
+
+    Each step evaluates g at the secant point c of the bracket (at its
+    midpoint if rounding puts c on or outside an end); c becomes b, and a
+    stays the other end of the sign change.  When a stays, its value is
+    scaled by 1 - g(c)/g(b) (by 1/2 when that is not positive), which moves
+    the next secant point towards a, so both ends close in and convergence
+    is superlinear.  The loop stops on g == 0, on a bracket at most 1e-15
+    wide, on the first evaluation that does not lower |g| once |g| <= tol,
+    or after 100 evaluations.  Returns the evaluated point with the
+    smallest |g|, and that value.
+    """
+    best, gbest = (a, ga) if abs(ga) <= abs(gb) else (b, gb)
+    for _ in range(100):
+        if gbest == 0 or abs(b - a) <= 1e-15:
+            break
+        c = b - gb * (b - a) / (gb - ga)
+        if not min(a, b) < c < max(a, b):
+            c = 0.5 * (a + b)
+        gc = g(c)
+        if abs(gc) < abs(gbest):
+            best, gbest = c, gc
+        elif abs(gbest) <= tol:
+            break
+        if gc * gb < 0:
+            a, ga = b, gb
+        else:
+            m = 1.0 - gc / gb
+            ga *= m if m > 0 else 0.5
+        b, gb = c, gc
+    return best, gbest
+
+
 def mvt_theta_real(f: Expr, x: float, h: float, var: "str | None" = None,
                    config: FieldConfig = DEFAULT_CONFIG) -> ThetaResult:
     """Solve f(x+h) - f(x) = h * f'(x + theta*h) for theta in [0, 1].
 
     The root of g(theta) = f(x+h) - f(x) - h*f'(x+theta*h) is taken from the
-    first sign-change bracket of a left-to-right scan, narrowed by bisection
-    and polished with damped Newton steps.  The scan evaluates f' on all of
-    its 1025 points as one array, and raises NotFinite when f(x), f(x+h),
-    f' or g is inf or nan anywhere on them; bisection and Newton evaluate g
-    one point at a time.  A g that vanishes identically (linear f) returns
-    the symmetric convention theta = 1/2.
+    first sign-change bracket of a left-to-right scan and narrowed by
+    Anderson-Bjorck regula falsi (`_theta_in_bracket`); f'' is not formed.
+    The scan evaluates f' on all of its 1025 points as one array, and raises
+    NotFinite when f(x), f(x+h), f' or g is inf or nan anywhere on them; the
+    root finder evaluates g one point at a time, starting from g at the
+    bracket's ends.  When every scanned |g| is at the rounding level
+    (always for linear f) theta is the symmetric convention 1/2, and
+    ``degenerate`` is set only when no derivative past f' is nonzero at x
+    (``leading_order`` 0); otherwise the computed leading order is reported.
     """
     if h == 0:
         raise ValueError("h must be nonzero")
     var = _the_var(f, var)
     fp = symbolic_derivative(f, var)
-    delta_f = eval_real(f, {var: x + h}) - eval_real(f, {var: x})
+    f_x = eval_real(f, {var: x})
+    delta_f = eval_real(f, {var: x + h}) - f_x
     scale = max(1.0, abs(delta_f))
     tol = 1e-12 * scale
 
@@ -214,8 +254,8 @@ def mvt_theta_real(f: Expr, x: float, h: float, var: "str | None" = None,
         raise NotFinite(f"the mean-value residual of {render_expr(f)} is not finite on [{x}, {x + h}]")
     k = _leading_order(f, x, var, config)
 
-    if np.max(np.abs(values)) <= max(tol, 1e-13 * max(scale, abs(eval_real(f, {var: x})))):
-        return ThetaResult(0.5, g(0.5), 0, degenerate=True)
+    if np.max(np.abs(values)) <= max(tol, 1e-13 * max(scale, abs(f_x))):
+        return ThetaResult(0.5, g(0.5), k, degenerate=k == 0)
 
     # The bracket starts at the first point where g is within tol of zero (a
     # one-point bracket) or changes sign before the next point.
@@ -226,44 +266,8 @@ def mvt_theta_real(f: Expr, x: float, h: float, var: "str | None" = None,
         raise NoBracket("no sign change of the mean-value residual on [0, 1]")
     lo, hi = (grid[i], grid[i]) if small[i] else (grid[i], grid[i + 1])
     glo = g(lo)
-    for _ in range(200):
-        if hi - lo <= 1e-15:
-            break
-        mid = 0.5 * (lo + hi)
-        gm = g(mid)
-        if abs(gm) <= tol:
-            lo = hi = mid
-            break
-        if glo * gm <= 0:
-            hi = mid
-        else:
-            lo, glo = mid, gm
-    theta = 0.5 * (lo + hi)
-
-    # Newton polish: g'(theta) = -h^2 * f''(x + theta*h).  Damped (halved until
-    # the step lands in [0, 1] and improves the residual), so it can only help.
-    fpp = symbolic_derivative(fp, var)
-    gt = g(theta)
-    for _ in range(4):
-        if gt == 0:
-            break
-        dg = -h * h * eval_real(fpp, {var: x + theta * h})
-        if dg == 0:
-            break
-        step = gt / dg
-        improved = False
-        for _ in range(30):
-            candidate = theta - step
-            if 0.0 <= candidate <= 1.0:
-                gc = g(candidate)
-                if abs(gc) < abs(gt):
-                    theta, gt = candidate, gc
-                    improved = True
-                    break
-            step *= 0.5
-        if not improved:
-            break
-    return ThetaResult(float(theta), gt, k)
+    theta, residual = _theta_in_bracket(g, lo, hi, glo, g(hi) if hi > lo else glo, tol)
+    return ThetaResult(float(theta), residual, k)
 
 
 def mvt_theta_infinitesimal(f: Expr, x: float, h: "LCNumber | None" = None,

@@ -69,6 +69,17 @@ def test_mvt_real_linear_degenerate():
     assert r.degenerate and r.theta == 0.5
 
 
+@pytest.mark.parametrize("src, x, h, k", [("exp(x)", 0.0, 1e-6, 1), ("sin(x)", 0.3, 1e-6, 1),
+                                          ("x^2", 0.0, 1e-7, 1), ("x^3", 0.0, 1e-7, 2)])
+def test_mvt_real_rounding_level_scan_is_not_degenerate(src, x, h, k):
+    # every scanned residual is at the rounding level, so theta is the
+    # convention 1/2, but f'' (or f''') does not vanish at x
+    r = mvt_theta_real(f(src), x, h)
+    assert r.theta == 0.5
+    assert r.leading_order == k
+    assert not r.degenerate
+
+
 def test_mvt_real_quadratic_exact():
     r = mvt_theta_real(f("x^2"), 0.0, 1.0)
     assert abs(r.theta - 0.5) <= 1e-12
@@ -98,7 +109,8 @@ def test_mvt_real_residual_contract():
 
 def _scalar_scan_theta(g, x, h):
     """mvt_theta_real as it was with a pointwise scan: one scalar eval_real
-    per scan point, the first bracket found by a loop (the reference)."""
+    per scan point, the first bracket found by a loop (the reference); the
+    bracket is then narrowed by the same root finder."""
     fp = symbolic_derivative(g, "x")
     delta_f = eval_real(g, {"x": x + h}) - eval_real(g, {"x": x})
     tol = 1e-12 * max(1.0, abs(delta_f))
@@ -118,35 +130,7 @@ def _scalar_scan_theta(g, x, h):
     else:
         assert abs(values[-1]) <= tol
         lo = hi = grid[-1]
-    glo = gt(lo)
-    for _ in range(200):
-        if hi - lo <= 1e-15:
-            break
-        mid = 0.5 * (lo + hi)
-        gm = gt(mid)
-        if abs(gm) <= tol:
-            lo = hi = mid
-            break
-        if glo * gm <= 0:
-            hi = mid
-        else:
-            lo, glo = mid, gm
-    theta = 0.5 * (lo + hi)
-    fpp = symbolic_derivative(fp, "x")
-    r = gt(theta)
-    for _ in range(4):
-        dg = -h * h * eval_real(fpp, {"x": x + theta * h})
-        if r == 0 or dg == 0:
-            break
-        step = r / dg
-        for _ in range(30):
-            candidate = theta - step
-            if 0.0 <= candidate <= 1.0 and abs(gt(candidate)) < abs(r):
-                theta, r = candidate, gt(candidate)
-                break
-            step *= 0.5
-        else:
-            break
+    theta, _ = calculus._theta_in_bracket(gt, lo, hi, gt(lo), gt(hi), tol)
     return float(theta)
 
 
@@ -157,6 +141,56 @@ def test_mvt_real_matches_pointwise_scan(src):
         x = rng.uniform(-1.0, 1.0)
         h = rng.choice([-1, 1]) * 10 ** rng.uniform(-2, 0)
         assert mvt_theta_real(f(src), x, h).theta == _scalar_scan_theta(f(src), x, h), (x, h)
+
+
+def _num(rng, lo, hi, floor=0.0):
+    while True:
+        v = round(rng.uniform(lo, hi), 3)
+        if abs(v) >= floor:
+            return v
+
+
+def _smooth_factor(rng, nest=1):
+    """One smooth factor of the kind bench/gen.py draws, as source text:
+    with probability 0.4 (while nest allows) its argument is a factor too."""
+    if nest > 0 and rng.random() < 0.4:
+        u = _smooth_factor(rng, nest - 1)
+    else:
+        u = f"({_num(rng, -2.0, 2.0, 0.5)}*x + ({_num(rng, -1.0, 1.0)}))"
+    kind = rng.choice(("sin", "cos", "exp", "log", "sqrt", "recip", "poly"))
+    if kind in ("sin", "cos"):
+        return f"{kind}({u})"
+    if kind == "exp":
+        return f"exp(({_num(rng, -0.8, 0.8, 0.1)})*{u})"
+    if kind in ("log", "sqrt"):
+        return f"{kind}({_num(rng, 0.5, 2.0)} + {u}^2)"
+    if kind == "recip":
+        return f"(({_num(rng, -2.0, 2.0, 0.5)}) / ({_num(rng, 0.5, 2.0)} + {u}^2))"
+    return f"({u}^{rng.choice((2, 3))})"
+
+
+def test_mvt_real_evaluation_count(monkeypatch):
+    # the bracket from the scan is 1/1024 wide, and regula falsi narrows it
+    # in a handful of scalar evaluations of g (f(x) and f(x+h) included)
+    calls = []
+
+    def counted(*args):
+        calls.append(args)
+        return eval_real(*args)
+
+    monkeypatch.setattr(calculus, "eval_real", counted)
+    rng = random.Random(12)
+    for _ in range(100):
+        src = _smooth_factor(rng)
+        for _ in range(2):
+            src = f"({src}) {rng.choice('+-*')} {_smooth_factor(rng)}"
+        x, h = _num(rng, -1.0, 1.0), rng.choice([-1, 1]) * rng.uniform(0.1, 0.5)
+        calls.clear()
+        r = mvt_theta_real(f(src), x, h)
+        assert len(calls) <= 12, (src, x, h, len(calls))
+        assert 0.0 <= r.theta <= 1.0
+        scale = max(1.0, abs(eval_real(f(src), {"x": x + h}) - eval_real(f(src), {"x": x})))
+        assert abs(r.residual) <= 1e-12 * scale, (src, x, h)
 
 
 def test_mvt_real_not_finite_on_scan():
