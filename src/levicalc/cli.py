@@ -21,7 +21,9 @@ from .field import FieldConfig
 
 CONFIG_ENV_VAR = "LEVICALC_CONFIG"
 
-_CONFIG_KEYS = ("depth", "max_terms", "zero_tol", "eq_tol", "format", "seed", "samples", "schedule")
+# Each setting a config file may give, with its type, in the order values are cast.
+_CONFIG_KEYS = {"depth": int, "max_terms": int, "zero_tol": float, "eq_tol": float, "format": str,
+                "seed": int, "samples": int, "schedule": str}
 
 
 class _Parser(argparse.ArgumentParser):
@@ -113,31 +115,20 @@ def _read_config_file(path: str) -> dict:
 
 
 def _resolve_settings(args) -> tuple:
-    file_values = {}
+    """The field config and output format.  Each setting the command takes
+    comes from its flag, else from the config file: file values are cast
+    and stored in ``args``."""
     path = args.config or os.environ.get(CONFIG_ENV_VAR)
-    if path:
-        file_values = _read_config_file(path)
-
-    def pick(name, cast):
-        flag = getattr(args, name, None)
-        if flag is not None:
-            return flag
-        return cast(file_values[name]) if name in file_values else None
-
-    given = {name: pick(name, cast) for name, cast in
-             (("depth", int), ("max_terms", int), ("zero_tol", float), ("eq_tol", float))}
+    file_values = _read_config_file(path) if path else {}
+    for key, cast in _CONFIG_KEYS.items():
+        if key in file_values and hasattr(args, key) and getattr(args, key) is None:
+            setattr(args, key, cast(file_values[key]))
+    given = {name: getattr(args, name) for name in ("depth", "max_terms", "zero_tol", "eq_tol")}
     config = FieldConfig(**{name: value for name, value in given.items() if value is not None})
-    fmt = pick("format", str) or "text"
+    fmt = args.format or "text"
     if fmt not in ("text", "json"):
         raise LevicalcError(f"bad output format {fmt!r}")
-    return config, fmt, file_values
-
-
-def _apply_file_defaults(args, file_values) -> None:
-    # subcommand-level settings that a config file may also provide
-    for key, cast in (("schedule", str), ("samples", int), ("seed", int)):
-        if hasattr(args, key) and getattr(args, key) is None and key in file_values:
-            setattr(args, key, cast(file_values[key]))
+    return config, fmt
 
 
 def _parse_schedule(text):
@@ -291,8 +282,7 @@ def main(argv=None) -> int:
     parser = _build_parser()
     try:
         args = parser.parse_args(argv)
-        config, fmt, file_values = _resolve_settings(args)
-        _apply_file_defaults(args, file_values)
+        config, fmt = _resolve_settings(args)
         return _COMMANDS[args.command](args, config, fmt)
     except (LevicalcError, ValueError) as e:
         print(f"{type(e).__name__}: {e}", file=sys.stderr)

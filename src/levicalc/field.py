@@ -38,6 +38,9 @@ Scalar = Union[int, float, Fraction]
 # Outcomes of compare().
 LESS, EQUAL, GREATER = -1, 0, 1
 
+# The outcomes of compare() that each comparison operator accepts.
+ACCEPTS = {"<": (LESS,), "<=": (LESS, EQUAL), "=": (EQUAL,), ">": (GREATER,), ">=": (GREATER, EQUAL)}
+
 
 @dataclass(frozen=True)
 class FieldConfig:
@@ -276,39 +279,26 @@ class LCNumber:
 
     # -- order -------------------------------------------------------------
 
-    def __eq__(self, other):
+    def _order(self, other, op: str):
         other = self._coerce(other)
         if other is None:
             return NotImplemented
-        return compare(self, other) == EQUAL
+        return compare(self, other) in ACCEPTS[op]
 
-    def __ne__(self, other):
-        eq = self.__eq__(other)
-        return NotImplemented if eq is NotImplemented else not eq
+    def __eq__(self, other):
+        return self._order(other, "=")
 
     def __lt__(self, other):
-        other = self._coerce(other)
-        if other is None:
-            return NotImplemented
-        return compare(self, other) == LESS
+        return self._order(other, "<")
 
     def __le__(self, other):
-        other = self._coerce(other)
-        if other is None:
-            return NotImplemented
-        return compare(self, other) != GREATER
+        return self._order(other, "<=")
 
     def __gt__(self, other):
-        other = self._coerce(other)
-        if other is None:
-            return NotImplemented
-        return compare(self, other) == GREATER
+        return self._order(other, ">")
 
     def __ge__(self, other):
-        other = self._coerce(other)
-        if other is None:
-            return NotImplemented
-        return compare(self, other) != LESS
+        return self._order(other, ">=")
 
     __hash__ = None  # equality is tolerance-based
 
@@ -547,6 +537,13 @@ def compare(a: LCNumber, b: LCNumber) -> int:
         if max([(c if c >= 0 else -c) for k, c in kept if k <= limit]) <= config.eq_tol:
             return EQUAL
     return GREATER if sign > 0 else LESS
+
+
+def compare_real(x: float, y: float, config: FieldConfig = DEFAULT_CONFIG) -> int:
+    """compare() for two exponent-0 values given as floats: EQUAL when they
+    differ by at most eq_tol, else the sign of x - y."""
+    d = x - y
+    return EQUAL if abs(d) <= config.eq_tol else (GREATER if d > 0 else LESS)
 
 
 def classify(u: LCNumber) -> Classification:

@@ -25,12 +25,13 @@ import itertools
 import math
 import random
 from dataclasses import dataclass, field as dc_field
+from functools import partial
 from typing import Mapping
 
 from . import field
 from .errors import BindingError, EvaluationError, LevicalcError, ParseError
 from .expr import Expr, Var, _eval_hyper, eval_real, free_variables, parse_expr_tokens, render_expr
-from .field import DEFAULT_CONFIG, EQUAL, GREATER, LESS, Classification, FieldConfig, LCNumber
+from .field import DEFAULT_CONFIG, Classification, FieldConfig, LCNumber
 from .lexer import TokenStream, tokenize
 
 STRATA = ("real", "positive-real", "infinitesimal", "positive", "finite", "infinite", "any")
@@ -220,34 +221,23 @@ def render_formula(formula: Formula) -> str:
     return head + _render_matrix(formula.matrix)
 
 
-def _render_matrix(node) -> str:
-    if isinstance(node, Implies):
-        left = _render_matrix(node.left)
-        if isinstance(node.left, Implies):
-            left = f"({left})"
-        return f"{left} => {_render_matrix(node.right)}"
-    if isinstance(node, Or):
-        left = _render_matrix(node.left)
-        if isinstance(node.left, Implies):
-            left = f"({left})"
-        right = _render_matrix(node.right)
-        if isinstance(node.right, (Implies, Or)):
-            right = f"({right})"
-        return f"{left} or {right}"
-    if isinstance(node, And):
-        left = _render_matrix(node.left)
-        if isinstance(node.left, (Implies, Or)):
-            left = f"({left})"
-        right = _render_matrix(node.right)
-        if isinstance(node.right, (Implies, Or, And)):
-            right = f"({right})"
-        return f"{left} and {right}"
+# Precedence and keyword of each binary connective: "=>" groups to the
+# right, "or" and "and" to the left.  "not" binds at 4, above all of them.
+_CONNECTIVES = {Implies: (1, "=>"), Or: (2, "or"), And: (3, "and")}
+
+
+def _render_matrix(node, min_prec: int = 0) -> str:
+    """Render with parentheses chosen so the output reparses to the same tree."""
+    if isinstance(node, Atom):
+        return f"{render_expr(node.left)} {node.op} {render_expr(node.right)}"
     if isinstance(node, Not):
-        inner = _render_matrix(node.operand)
-        if not isinstance(node.operand, (Atom, Not)):
-            inner = f"({inner})"
-        return f"not {inner}"
-    return f"{render_expr(node.left)} {node.op} {render_expr(node.right)}"
+        prec, out = 4, f"not {_render_matrix(node.operand, 4)}"
+    else:
+        prec, word = _CONNECTIVES[type(node)]
+        to_right = isinstance(node, Implies)
+        left, right = _render_matrix(node.left, prec + to_right), _render_matrix(node.right, prec + (not to_right))
+        out = f"{left} {word} {right}"
+    return f"({out})" if prec < min_prec else out
 
 
 def parse_formula_file(text: str) -> list:
@@ -461,8 +451,6 @@ class CheckReport:
         return out
 
 
-_ACCEPT = {"<": (LESS,), "<=": (LESS, EQUAL), "=": (EQUAL,)}
-
 _UNSET = object()  # a hoisted side not yet computed in this run of the innermost loop
 
 
@@ -497,8 +485,8 @@ def _compile(node, config: FieldConfig, inner=None, hoisted=None):
     blocks bind the rest.  An atom side that mentions none of them does not
     change while that block's loop runs: it is kept in ``hoisted``, which
     the loop clears each time it starts, with separate entries for the
-    float and the field path.  An atom with no such side compiles as
-    without ``inner``.
+    float and the field path.  A side that is a bare variable is then read
+    from the binding.
     """
     if isinstance(node, Atom):
         return _compile_atom(node, config, inner, hoisted)
@@ -517,35 +505,20 @@ def _compile(node, config: FieldConfig, inner=None, hoisted=None):
 
 
 def _compile_atom(atom: Atom, config: FieldConfig, inner, hoisted):
-    if atom.op not in _ACCEPT:
+    accept = field.ACCEPTS.get(atom.op)
+    if accept is None:
         raise TypeError(f"not a comparison operator: {atom.op!r}")
-    left, right, accept, eq_tol = atom.left, atom.right, _ACCEPT[atom.op], config.eq_tol
-    left_vars, right_vars = free_variables(left), free_variables(right)
+    left_vars, right_vars = free_variables(atom.left), free_variables(atom.right)
     scalar = "eps" not in left_vars | right_vars
-    if inner is not None and (left_vars.isdisjoint(inner) or right_vars.isdisjoint(inner)):
-        left_real, left_field = _side(left, left_vars, config, inner, hoisted)
-        right_real, right_field = _side(right, right_vars, config, inner, hoisted)
-
-        def holds(binding, reals) -> bool:
-            try:
-                if scalar and reals is not None:
-                    d = left_real(reals) - right_real(reals)
-                    order = EQUAL if abs(d) <= eq_tol else (GREATER if d > 0 else LESS)
-                else:
-                    order = field.compare(left_field(binding), right_field(binding))
-            except LevicalcError as e:
-                raise _evaluation_error(e, binding) from e
-            return order in accept
-
-        return holds
+    left_real, left_field = _side(atom.left, left_vars, config, inner, hoisted)
+    right_real, right_field = _side(atom.right, right_vars, config, inner, hoisted)
 
     def holds(binding, reals) -> bool:
         try:
             if scalar and reals is not None:
-                d = eval_real(left, reals) - eval_real(right, reals)
-                order = EQUAL if abs(d) <= eq_tol else (GREATER if d > 0 else LESS)
+                order = field.compare_real(left_real(reals), right_real(reals), config)
             else:
-                order = field.compare(_eval_hyper(left, binding, config), _eval_hyper(right, binding, config))
+                order = field.compare(left_field(binding), right_field(binding))
         except LevicalcError as e:
             raise _evaluation_error(e, binding) from e
         return order in accept
@@ -554,14 +527,15 @@ def _compile_atom(atom: Atom, config: FieldConfig, inner, hoisted):
 
 
 def _side(e: Expr, free: set, config: FieldConfig, inner, hoisted) -> tuple:
-    """The (float, field) readers of one side of an atom with a side that
-    does not change in the innermost loop: a bare variable is read from the
-    binding, and a side mentioning no innermost variable is cached."""
-    if type(e) is Var:
+    """The (float, field) readers of one side of an atom.  In a check with
+    an innermost block (``inner``), a bare variable is read from the
+    binding, and a side mentioning no innermost variable is cached; any
+    other side is evaluated."""
+    if inner is not None and type(e) is Var:
         name = e.name
         return (lambda reals: reals[name]), (lambda binding: binding[name])
-    real, hyper = (lambda reals: eval_real(e, reals)), (lambda binding: _eval_hyper(e, binding, config))
-    if not free.isdisjoint(inner):
+    real, hyper = partial(eval_real, e), partial(_eval_hyper, e, config=config)
+    if inner is None or not free.isdisjoint(inner):
         return real, hyper
     return _cached(real, hoisted), _cached(hyper, hoisted)
 

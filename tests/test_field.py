@@ -1,5 +1,6 @@
 """Field arithmetic, order, classification, and rendering tests."""
 
+import operator
 from fractions import Fraction
 
 import pytest
@@ -305,6 +306,38 @@ def test_no_least_upper_bound_of_infinitesimals():
         assert compare(v, u) == LESS
         assert all(compare(x, v) == LESS for x in infinitesimals)
         checked += 1
+
+
+# Each comparison operator with the outcomes of compare() it accepts.
+_ORDER_OPERATORS = [(operator.eq, (EQUAL,)), (operator.ne, (LESS, GREATER)), (operator.lt, (LESS,)),
+                    (operator.le, (LESS, EQUAL)), (operator.gt, (GREATER,)), (operator.ge, (GREATER, EQUAL))]
+
+
+@given(lc_values(), lc_values())
+def test_operators_agree_with_compare(a, b):
+    for u, v in ((a, b), (b, a), (a, a)):
+        order = compare(u, v)
+        for op, accepted in _ORDER_OPERATORS:
+            assert op(u, v) is (order in accepted), (op, u, v)
+
+
+@given(lc_values(), st.integers(-3, 3) | _lattice)
+def test_operators_with_a_scalar_agree_with_compare(u, x):
+    # a scalar on the left goes through the reflected operator
+    for op, accepted in _ORDER_OPERATORS:
+        assert op(u, x) is (compare(u, real(x)) in accepted), (op, u, x)
+        assert op(x, u) is (compare(real(x), u) in accepted), (op, x, u)
+
+
+def test_comparison_with_a_non_number_is_not_implemented():
+    u = 1 + E
+    assert u.__eq__("x") is NotImplemented
+    assert (u == "x") is False and (u != "x") is True
+    for op in (operator.lt, operator.le, operator.gt, operator.ge):
+        with pytest.raises(TypeError):
+            op(u, "x")
+        with pytest.raises(TypeError):
+            op("x", u)
 
 
 @given(lc_values(), lc_values())

@@ -11,9 +11,11 @@ import pytest
 
 from levicalc import field, formulas
 from levicalc.errors import BindingError, EvaluationError, ParseError
+from levicalc.expr import Var
 from levicalc.formulas import (
     And,
     Atom,
+    Formula,
     Implies,
     Not,
     Or,
@@ -147,6 +149,28 @@ def _corpus():
             mat = f"not ({mat}) or {names[0]} = {names[0]}"
         fixed.append(f"{prefix}. {mat}")
     return fixed
+
+
+def test_render_formula_parentheses():
+    x, y = Var("x"), Var("y")
+    p, q, r = Atom("<", x, y), Atom("<=", y, x), Atom("=", x, y)
+    prefix = (Quantifier("forall", "x", "real"), Quantifier("exists", "y"))
+    expected = {
+        Implies(Implies(p, q), r): "(x < y => y <= x) => x = y",
+        Implies(p, Implies(q, r)): "x < y => y <= x => x = y",
+        Or(p, Or(q, r)): "x < y or (y <= x or x = y)",
+        Or(Or(p, q), r): "x < y or y <= x or x = y",
+        And(Or(p, q), r): "(x < y or y <= x) and x = y",
+        And(p, Or(q, r)): "x < y and (y <= x or x = y)",
+        Or(And(p, q), r): "x < y and y <= x or x = y",
+        Not(And(p, q)): "not (x < y and y <= x)",
+        Not(Implies(p, q)): "not (x < y => y <= x)",
+        Not(Not(p)): "not not x < y",
+    }
+    for matrix, text in expected.items():
+        formula = Formula(prefix, matrix)
+        assert render_formula(formula) == "forall x: real, exists y. " + text
+        assert parse_formula(render_formula(formula)) == formula
 
 
 def test_render_round_trip_corpus():
@@ -423,11 +447,45 @@ def test_hoisted_sides_are_computed_once_per_innermost_loop(monkeypatch):
     assert sum(key[0] == id(delta_low) for key in calls) > 10 * len(hoisted)
 
 
-def test_atom_without_invariant_side_compiles_as_before():
+def test_atom_without_invariant_side_is_evaluated_at_every_draw(monkeypatch):
     atom = parse_formula("forall a: any, exists b: any. a * b < b * b").matrix
-    plain = formulas._compile(atom, field.DEFAULT_CONFIG)
-    assert formulas._compile(atom, field.DEFAULT_CONFIG, {"b"}, {}).__code__ is plain.__code__
-    assert formulas._compile(atom, field.DEFAULT_CONFIG, {"a"}, {}).__code__ is not plain.__code__
+    calls = []
+    eval_real, eval_hyper = formulas.eval_real, formulas._eval_hyper
+
+    def spy_real(e, reals):
+        calls.append((e, "real"))
+        return eval_real(e, reals)
+
+    def spy_hyper(e, binding, config):
+        calls.append((e, "field"))
+        return eval_hyper(e, binding, config)
+
+    monkeypatch.setattr(formulas, "eval_real", spy_real)
+    monkeypatch.setattr(formulas, "_eval_hyper", spy_hyper)
+    hoisted = {}
+    holds = formulas._compile(atom, field.DEFAULT_CONFIG, {"b"}, hoisted)
+    a = field.LCNumber.from_real(2.0)
+    for b in (-1.0, 0.5, 3.0, -1.0):
+        b_lc = field.LCNumber.from_real(b)
+        for path, reals in (("real", {"a": 2.0, "b": b}), ("field", None)):
+            calls.clear()
+            assert holds({"a": a, "b": b_lc, "eps": field.eps()}, reals) is (2.0 * b < b * b)
+            assert calls == [(atom.left, path), (atom.right, path)]
+    assert hoisted == {}
+    # with "a" innermost, "b * b" does not change and is kept in the memo
+    holds = formulas._compile(atom, field.DEFAULT_CONFIG, {"a"}, hoisted)
+    holds({"a": a, "b": a, "eps": field.eps()}, {"a": 2.0, "b": 2.0})
+    assert len(hoisted) == 1
+
+
+@pytest.mark.parametrize("binding", [{"x": field.LCNumber.from_real(1.5)}, {"x": 1 + field.eps()}],
+                         ids=["real", "series"])
+def test_missing_variable_reports_evaluation_error(binding):
+    matrix = parse_formula("forall x: any, forall y: any. x < y").matrix
+    with pytest.raises(EvaluationError) as e:
+        evaluate_matrix(matrix, binding)
+    assert "BindingError: unbound variable 'y'" in str(e.value)
+    assert "x = " in str(e.value)
 
 
 def test_equality_tolerance_recorded():
