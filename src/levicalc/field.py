@@ -327,6 +327,11 @@ def _lc(den: int, pairs: tuple, config: FieldConfig) -> LCNumber:
     return u
 
 
+def from_lattice(den: int, coefs: dict, config: FieldConfig = DEFAULT_CONFIG) -> LCNumber:
+    """The value sum_k coefs[k] * eps**(k/den), normalized as LCNumber is."""
+    return _lc(*_reduced(den, _settle(coefs, den, config)), config)
+
+
 def zero(config: FieldConfig = DEFAULT_CONFIG) -> LCNumber:
     return _lc(1, (), config)
 
@@ -376,10 +381,29 @@ def sub(a: LCNumber, b: LCNumber) -> LCNumber:
 
 
 def mul(a: LCNumber, b: LCNumber) -> LCNumber:
+    """The product, truncated as every value is.
+
+    When either operand has one term (a constant, ``eps``, ``1/c``), each
+    product lands on an order of its own, in increasing order.  The other
+    operand already lies within its depth window and holds at most
+    max_terms terms, so the product only drops what falls to zero_tol: one
+    pass, with no accumulator and no sort.
+    """
     config = _require_same_config(a, b)
     if not a._pairs or not b._pairs:
         return zero(config)
     den, pa, pb = _aligned(a, b)
+    if len(pa) == 1:
+        pa, pb = pb, pa
+    if len(pb) == 1:
+        (kb, cb), = pb
+        zt = config.zero_tol
+        out = []
+        for ka, ca in pa:
+            c = ca * cb
+            if (c if c >= 0 else -c) > zt:
+                out.append((ka + kb, c))
+        return _lc(den, tuple(out), config)
     lead_b = pb[0][0]
     limit = pa[0][0] + lead_b + config.depth * den
     out: dict = {}
@@ -434,23 +458,26 @@ def _recurrence(den: int, tail, y0, beta, gamma: float, cap: int, shift: int,
     x = 1 + tail, beta = alpha + 1 and gamma = -1 give y = y0 * x**alpha;
     (1, 0) gives y = y0 * exp(tail), (1j, 0) gives y = y0 * exp(i * tail), and
     (1, -1) with ``forced = dict(tail)`` gives y = y0 + log(x).  Only the
-    orders K reachable as sums of the k_j are visited, in increasing order, so
-    the cost is O(kept terms * len(tail)) whatever den is.  The result is y (its imaginary part with ``imag``)
+    orders K reachable as sums of the k_j are visited, in increasing order;
+    the orders still to visit are one integer bitmask, whose lowest set bit
+    is the next K.  So the cost is O(kept terms * len(tail)) whatever den
+    is.  The result is y (its imaginary part with ``imag``)
     shifted by ``shift``/den, normalized as every value is: no order above
     ``cap`` or past depth from its own leading order, at most max_terms.
     """
-    ks = [k for k, _ in tail]
     weights = [(k, c * beta * k, c * gamma) for k, c in tail]
+    gens = sum(1 << k for k, _ in tail)  # the k_j are distinct
     zt, span = config.zero_tol, config.depth * den
     v = y0.imag if imag else y0.real
     out = [(shift, v)] if abs(v) > zt else []
     limit = min(cap, span) if out else cap
     ys = {0: y0}
-    # support: the orders visited so far; generator j next offers
-    # support[ptr[j]] + k_j, and nxt holds those offers.
-    support, ptr, nxt = [0], [0] * len(ks), list(ks)
-    while nxt and len(out) < config.max_terms:
-        K = min(nxt)
+    # Bit K of offers is set when K is reachable (a visited order plus some
+    # k_j) and not yet visited.
+    offers = gens
+    while offers and len(out) < config.max_terms:
+        low = offers & -offers
+        K = low.bit_length() - 1
         if K > limit:
             break
         y = forced.get(K, 0.0) if forced else 0.0
@@ -461,11 +488,8 @@ def _recurrence(den: int, tail, y0, beta, gamma: float, cap: int, shift: int,
             if prev is not None:
                 y += prev * a / K + prev * g
         ys[K] = y
-        support.append(K)
-        for j, offer in enumerate(nxt):
-            if offer == K:
-                ptr[j] += 1
-                nxt[j] = support[ptr[j]] + ks[j]
+        offers ^= low
+        offers |= gens << K
         v = y.imag if imag else y.real
         if abs(v) > zt:
             if not out:
@@ -537,6 +561,18 @@ def compare(a: LCNumber, b: LCNumber) -> int:
         if max([(c if c >= 0 else -c) for k, c in kept if k <= limit]) <= config.eq_tol:
             return EQUAL
     return GREATER if sign > 0 else LESS
+
+
+def project_reals(values: dict, reals: dict) -> "dict | None":
+    """``reals`` extended with each of ``values`` as a float when every value
+    is real (zero or a single exponent-0 term), else None.  The formula
+    checker projects every binding this way for its float path."""
+    for name, u in values.items():
+        pairs = u._pairs
+        if pairs and (len(pairs) > 1 or pairs[0][0] != 0):
+            return None
+        reals[name] = pairs[0][1] if pairs else 0.0
+    return reals
 
 
 def compare_real(x: float, y: float, config: FieldConfig = DEFAULT_CONFIG) -> int:

@@ -350,7 +350,7 @@ def _draw_terms(rng, cfg, lead_exp, lead, config):
     for (num, d), c in tail:
         k = k0 + num * lead_den * (step // d)
         acc[k] = acc.get(k, 0.0) + c
-    return field._lc(*field._reduced(den, field._settle(acc, den, config)), config)
+    return field.from_lattice(den, acc, config)
 
 
 def _sample_shape(shape: str, rng: random.Random, cfg: SamplerConfig,
@@ -454,22 +454,11 @@ class CheckReport:
 _UNSET = object()  # a hoisted side not yet computed in this run of the innermost loop
 
 
-def _project(values, reals) -> "dict | None":
-    """``reals`` extended with each value as a float when every value is real,
-    else None: the binding of the cheap scalar path."""
-    for name, u in values.items():
-        pairs = u._pairs
-        if pairs and (len(pairs) > 1 or pairs[0][0] != 0):
-            return None
-        reals[name] = pairs[0][1] if pairs else 0.0
-    return reals
-
-
 def _bind(binding, eps_value) -> tuple:
     """The field binding with the eps literal bound, and the same binding
     projected to floats when every value is real (else None) for the cheap
     scalar path."""
-    reals = _project(binding, {})
+    reals = field.project_reals(binding, {})
     if "eps" not in binding:
         binding = {**binding, "eps": eps_value}
     return binding, reals
@@ -687,7 +676,7 @@ def _descend(game: _Game, rest, binding, inside_exists, memo):
 
     def evaluate(assignment):
         game.evaluations += 1
-        reals = None if outer_reals is None else _project(assignment, dict(outer_reals))
+        reals = None if outer_reals is None else field.project_reals(assignment, dict(outer_reals))
         return holds({**outer, **assignment}, reals), {}
 
     return evaluate

@@ -1,6 +1,7 @@
 """Field arithmetic, order, classification, and rendering tests."""
 
 import operator
+import random
 from fractions import Fraction
 
 import pytest
@@ -184,6 +185,130 @@ def test_nth_root_rejects_nonpositive_leading():
         nth_root(real(-4), 2)
     with pytest.raises(NegativeLeading):
         nth_root(zero(), 2)
+
+
+# -- kernels against reference loops ---------------------------------------------
+
+
+def _bits(u):
+    return u._den, tuple((k, c.hex()) for k, c in u._pairs)
+
+
+def _recurrence_by_pointers(den, tail, y0, beta, gamma, cap, shift, config, forced=None, imag=False):
+    """field._recurrence with the orders to visit merged by one pointer per
+    tail exponent into the orders already visited."""
+    ks = [k for k, _ in tail]
+    weights = [(k, c * beta * k, c * gamma) for k, c in tail]
+    zt, span = config.zero_tol, config.depth * den
+    v = y0.imag if imag else y0.real
+    out = [(shift, v)] if abs(v) > zt else []
+    limit = min(cap, span) if out else cap
+    ys = {0: y0}
+    support, ptr, nxt = [0], [0] * len(ks), list(ks)
+    while nxt and len(out) < config.max_terms:
+        K = min(nxt)
+        if K > limit:
+            break
+        y = forced.get(K, 0.0) if forced else 0.0
+        for k, a, g in weights:
+            if k > K:
+                break
+            prev = ys.get(K - k)
+            if prev is not None:
+                y += prev * a / K + prev * g
+        ys[K] = y
+        support.append(K)
+        for j, offer in enumerate(nxt):
+            if offer == K:
+                ptr[j] += 1
+                nxt[j] = support[ptr[j]] + ks[j]
+        v = y.imag if imag else y.real
+        if abs(v) > zt:
+            if not out:
+                limit = min(cap, K + span)
+            out.append((K + shift, v))
+    return field._lc(den, tuple(out), config)
+
+
+def _recurrence_corpus():
+    rng = random.Random(20181)
+    short = FieldConfig(max_terms=5)
+    # (beta, gamma, forced, imag): x**alpha, exp, cos / sin, log
+    forms = [(0.0, -1.0, False, False), (1.5, -1.0, False, False), (1.0, 0.0, False, False),
+             (1j, 0.0, False, False), (1j, 0.0, False, True), (1.0, -1.0, True, False)]
+    for den in (1, 2, 3, 6, 12, 60):
+        span = CFG.depth * den
+        tails = [
+            list(range(1, 6)),                                    # dense
+            [3, 5],                                               # sparse, gaps
+            [2, 6, 12],                                           # gcd 2
+            sorted(rng.sample(range(1, span + 1), min(4, span))),  # random support
+            [span + 1],                                           # nothing reachable
+        ]
+        for ks in tails:
+            tail = [(k, rng.uniform(-1.5, 1.5)) for k in ks]
+            for beta, gamma, forced, imag in forms:
+                for y0 in (rng.uniform(0.2, 2.0), complex(rng.uniform(-1, 1), rng.uniform(-1, 1)), 0.0, 1e-15):
+                    for cap, config in ((span, CFG), (span // 2, CFG), (span, short)):
+                        yield (den, tail, y0, beta, gamma, cap, rng.randint(-span, span), config,
+                               dict(tail) if forced else None, imag)
+
+
+def test_recurrence_visits_the_orders_the_pointer_merge_visits():
+    cases = 0
+    for args in _recurrence_corpus():
+        assert _bits(field._recurrence(*args)) == _bits(_recurrence_by_pointers(*args)), args
+        cases += 1
+    assert cases == 6 * 5 * 6 * 4 * 3
+
+
+def _mul_by_double_loop(a, b):
+    config = a.config
+    if a.is_zero or b.is_zero:
+        return zero(config)
+    den, pa, pb = field._aligned(a, b)
+    limit = pa[0][0] + pb[0][0] + config.depth * den
+    acc = {}
+    for ka, ca in pa:
+        for kb, cb in pb:
+            if ka + kb <= limit:
+                acc[ka + kb] = acc.get(ka + kb, 0.0) + ca * cb
+    return field._lc(den, field._settle(acc, den, config), config)
+
+
+def test_one_term_products_match_the_double_loop():
+    short = FieldConfig(max_terms=4)
+    rng = random.Random(7)
+    singles = [real(1e-7), real(-3.0), E, lc((Fraction(1, 2), 2.5)), field.infinite(), lc((-2, 1e-8)),
+               lc((1, 1e-8)), LCNumber([(Fraction(-1, 3), 0.7)], short)]
+    operands = [
+        lc((0, 1.0), (1, 1e-8), (2, 1.0)),                                    # a product at zero_tol
+        lc((0, 1.3), (Fraction(1, 3), 0.1), (1, 0.7), (2, -0.2)),             # lattice 1/3
+        lc((-1, 2.0), (Fraction(-1, 2), -1.0), (3, 0.5), (9, 4.0)),           # 1/eps and a window cut
+        LCNumber([(Fraction(k, 6), rng.uniform(-1, 1)) for k in range(12)], short),
+    ] + [LCNumber([(Fraction(rng.randint(-12, 24), d), rng.uniform(-2, 2)) for _ in range(rng.randint(1, 6))])
+         for d in (1, 2, 3, 6) for _ in range(5)]
+    for s in singles:
+        for u in operands:
+            if s.config != u.config:
+                continue
+            assert _bits(mul(s, u)) == _bits(_mul_by_double_loop(s, u)), (s, u)
+            assert _bits(mul(u, s)) == _bits(_mul_by_double_loop(u, s)), (u, s)
+            assert _bits(mul(s, u)) == _bits(mul(u, s))
+    assert mul(lc((1, 1e-8)), real(1e-7)).is_zero  # 1e-15 is below zero_tol
+    assert _bits(mul(lc((1, 1e-8)), lc((0, 1e-7), (1, 1.0)))) == (1, ((2, (1e-8).hex()),))
+
+
+def test_from_lattice_normalizes():
+    u = field.from_lattice(6, {9: 2.0, 3: 1.0, 5: 1e-15, 90: 1.0})
+    assert (u._den, u._pairs) == (2, ((1, 1.0), (3, 2.0)))
+    assert field.from_lattice(4, {2: 1e-15}).is_zero
+
+
+def test_project_reals_only_when_every_value_is_real():
+    assert field.project_reals({"a": real(2.5), "z": zero()}, {"b": 1.0}) == {"b": 1.0, "a": 2.5, "z": 0.0}
+    assert field.project_reals({"a": real(2.5), "e": 1 + E}, {}) is None
+    assert field.project_reals({"i": field.infinite()}, {}) is None
 
 
 # -- property tests --------------------------------------------------------------
