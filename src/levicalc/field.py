@@ -27,6 +27,8 @@ from bisect import bisect_right
 from dataclasses import dataclass
 from enum import Enum
 from fractions import Fraction
+from heapq import heappop, heappush
+from itertools import count
 from typing import Iterable, Union
 
 from .errors import DivisionByZero, NegativeLeading, NotFinite, ParseError
@@ -447,6 +449,19 @@ def _by_squaring(a, k: int, times):
     return result
 
 
+def _sums(ks: list):
+    """The positive sums of the exponents ks (sorted, distinct), each once, in
+    increasing order: the orders a series with those exponents reaches."""
+    heap, last = list(ks), 0
+    while heap:
+        K = heappop(heap)
+        if K != last:
+            yield K
+            last = K
+            for k in ks:
+                heappush(heap, K + k)
+
+
 def _recurrence(den: int, tail, y0, beta, gamma: float, cap: int, shift: int,
                 config: FieldConfig, forced: "dict | None" = None, imag: bool = False) -> LCNumber:
     """Coefficients of y = sum_K y_K * t**K, t = eps**(1/den), from a recurrence
@@ -458,27 +473,24 @@ def _recurrence(den: int, tail, y0, beta, gamma: float, cap: int, shift: int,
     x = 1 + tail, beta = alpha + 1 and gamma = -1 give y = y0 * x**alpha;
     (1, 0) gives y = y0 * exp(tail), (1j, 0) gives y = y0 * exp(i * tail), and
     (1, -1) with ``forced = dict(tail)`` gives y = y0 + log(x).  Only the
-    orders K reachable as sums of the k_j are visited, in increasing order;
-    the orders still to visit are one integer bitmask, whose lowest set bit
-    is the next K.  So the cost is O(kept terms * len(tail)) whatever den
-    is.  The result is y (its imaginary part with ``imag``)
-    shifted by ``shift``/den, normalized as every value is: no order above
-    ``cap`` or past depth from its own leading order, at most max_terms.
+    orders K reachable as sums of the k_j are visited, in increasing order:
+    every multiple of k_1 when k_1 divides each k_j, else the sums drawn
+    from a heap (_sums).  So each visited order costs O(len(tail)), times a
+    heap's log factor in the second case, whatever den is.  The result is y
+    (its imaginary part with ``imag``) shifted by ``shift``/den, normalized
+    as every value is: no order above ``cap`` or past depth from its own
+    leading order, at most max_terms.
     """
+    ks = [k for k, _ in tail]
     weights = [(k, c * beta * k, c * gamma) for k, c in tail]
-    gens = sum(1 << k for k, _ in tail)  # the k_j are distinct
-    zt, span = config.zero_tol, config.depth * den
+    zt, span, most = config.zero_tol, config.depth * den, config.max_terms
     v = y0.imag if imag else y0.real
     out = [(shift, v)] if abs(v) > zt else []
     limit = min(cap, span) if out else cap
     ys = {0: y0}
-    # Bit K of offers is set when K is reachable (a visited order plus some
-    # k_j) and not yet visited.
-    offers = gens
-    while offers and len(out) < config.max_terms:
-        low = offers & -offers
-        K = low.bit_length() - 1
-        if K > limit:
+    orders = count(ks[0], ks[0]) if ks and all(k % ks[0] == 0 for k in ks) else _sums(ks)
+    for K in orders:
+        if K > limit or len(out) >= most:
             break
         y = forced.get(K, 0.0) if forced else 0.0
         for k, a, g in weights:
@@ -488,8 +500,6 @@ def _recurrence(den: int, tail, y0, beta, gamma: float, cap: int, shift: int,
             if prev is not None:
                 y += prev * a / K + prev * g
         ys[K] = y
-        offers ^= low
-        offers |= gens << K
         v = y.imag if imag else y.real
         if abs(v) > zt:
             if not out:

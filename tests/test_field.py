@@ -262,6 +262,41 @@ def test_recurrence_visits_the_orders_the_pointer_merge_visits():
     assert cases == 6 * 5 * 6 * 4 * 3
 
 
+def test_sums_are_the_reachable_orders_in_increasing_order():
+    for ks in ([1], [2, 4, 6], [3, 5], [2, 6, 12], [4, 6, 9], [5, 7, 11, 12]):
+        reach = {0}
+        for K in range(1, 61):
+            if any(K - k in reach for k in ks):
+                reach.add(K)
+        got = []
+        for K in field._sums(ks):
+            if K > 60:
+                break
+            got.append(K)
+        assert got == sorted(reach - {0}), ks
+    assert list(field._sums([])) == []
+
+
+@pytest.mark.parametrize("text", [
+    "1 + eps^(1/1000000000000) + eps",
+    "1 + eps + eps^(1000000000001/1000000000000)",
+    "eps^(1/1000000000000) + eps^(100000000001/1000000000000) + eps^(200000000001/1000000000000)",
+])
+def test_recurrence_on_a_fine_lattice_matches_the_pointer_merge(text, monkeypatch):
+    # The lattice is 1/10**12: the orders visited must not cost in proportion
+    # to den.  The third operand's inverse steps through multiples of 10**11.
+    a = parse_lc(text)
+    assert a._den == 10**12
+
+    def kernels():
+        return [inv(a), sqrt(a), field.taylor_series(a, 2.0, 1.0, -1.0, forced=True)]
+
+    got = kernels()
+    monkeypatch.setattr(field, "_recurrence", _recurrence_by_pointers)
+    assert [_bits(u) for u in got] == [_bits(u) for u in kernels()]
+    assert len(got[0]._pairs) > 50
+
+
 def _mul_by_double_loop(a, b):
     config = a.config
     if a.is_zero or b.is_zero:
