@@ -549,28 +549,47 @@ def sqrt(a: LCNumber) -> LCNumber:
     return nth_root(a, 2)
 
 
+_END = (math.inf, 0.0)  # past the last pair of an operand in compare()'s walk
+
+
 def compare(a: LCNumber, b: LCNumber) -> int:
     """Return LESS/EQUAL/GREATER; equality is coefficientwise within eq_tol.
 
     The order is decided by the sign of the leading coefficient of the
-    normalized difference a - b, computed here without building the series.
+    normalized difference a - b, computed here without building the series:
+    one merge walk over the two sorted pair tuples, which returns at the
+    first kept order whose difference exceeds eq_tol, and decides EQUAL at
+    the end of the leading order's depth window.
     """
     config = _require_same_config(a, b)
     den, pa, pb = _aligned(a, b)
-    d = dict(pa)
-    get = d.get
-    for k, c in pb:
-        d[k] = get(k, 0.0) - c
-    zt = config.zero_tol
-    kept = [(k, c) for k, c in d.items() if (c if c >= 0 else -c) > zt]
-    if not kept:
-        return EQUAL
-    lead, sign = min(kept)
-    if -config.eq_tol <= sign <= config.eq_tol:
-        limit = lead + config.depth * den
-        if max([(c if c >= 0 else -c) for k, c in kept if k <= limit]) <= config.eq_tol:
+    zt, tol = config.zero_tol, config.eq_tol
+    ia, ib = iter(pa), iter(pb)
+    ka, ca = next(ia, _END)
+    kb, cb = next(ib, _END)
+    sign, limit = None, math.inf
+    while True:
+        if ka < kb:
+            k, c = ka, ca
+            ka, ca = next(ia, _END)
+        elif kb < ka:
+            k, c = kb, -cb
+            kb, cb = next(ib, _END)
+        elif ka is math.inf:
             return EQUAL
-    return GREATER if sign > 0 else LESS
+        else:
+            k, c = ka, ca - cb
+            ka, ca = next(ia, _END)
+            kb, cb = next(ib, _END)
+        if k > limit:
+            return EQUAL
+        size = c if c >= 0 else -c
+        if not size > zt:
+            continue
+        if sign is None:
+            sign, limit = c, k + config.depth * den
+        if size > tol:
+            return GREATER if sign > 0 else LESS
 
 
 def project_reals(values: dict, reals: dict) -> "dict | None":

@@ -380,18 +380,26 @@ _STRATUM_SHAPES = {
 }
 
 
+def _drawer(stratum: str, cfg: SamplerConfig, config: FieldConfig):
+    """A function of the RNG that draws one element of ``stratum``, with the
+    stratum's shapes, cumulative weights and sign resolved once.  Its RNG
+    calls are those of ``random.choices`` with plain weights, which
+    accumulates them into these same cumulative weights."""
+    if stratum not in STRATA:
+        raise ValueError(f"unknown stratum '{stratum}'")
+    shapes = _STRATUM_SHAPES[stratum]
+    positive = stratum in ("positive", "positive-real")
+    if len(shapes) == 1:
+        return partial(_sample_shape, shapes[0], cfg=cfg, config=config, positive=positive)
+    cum_weights = list(itertools.accumulate(cfg.weights.get(s, 1.0) for s in shapes))
+    return lambda rng: _sample_shape(rng.choices(shapes, cum_weights=cum_weights)[0], rng, cfg, config, positive)
+
+
 def sample(stratum: str, cfg: "SamplerConfig | None" = None, rng: "random.Random | None" = None,
            config: FieldConfig = DEFAULT_CONFIG) -> LCNumber:
     """Draw one stratified random field element."""
-    if stratum not in STRATA:
-        raise ValueError(f"unknown stratum '{stratum}'")
     cfg = cfg or SamplerConfig()
-    rng = rng or random.Random(cfg.seed)
-    shapes = _STRATUM_SHAPES[stratum]
-    weights = [cfg.weights.get(s, 1.0) for s in shapes]
-    shape = rng.choices(shapes, weights)[0] if len(shapes) > 1 else shapes[0]
-    positive = stratum in ("positive", "positive-real")
-    return _sample_shape(shape, rng, cfg, config, positive)
+    return _drawer(stratum, cfg, config)(rng or random.Random(cfg.seed))
 
 
 def stratum_contains(u: LCNumber, stratum: str) -> bool:
@@ -451,7 +459,8 @@ class CheckReport:
         return out
 
 
-_UNSET = object()  # a hoisted side not yet computed in this run of the innermost loop
+_UNSET = object()  # a cached side not yet computed in its scope
+_REALS = object()  # a sample's own float projection, kept in its scope
 
 
 def _bind(binding, eps_value) -> tuple:
@@ -464,27 +473,32 @@ def _bind(binding, eps_value) -> tuple:
     return binding, reals
 
 
-def _compile(node, config: FieldConfig, inner=None, hoisted=None):
+def _compile(node, config: FieldConfig, inner=None, scopes=None, sides=None):
     """The matrix as one predicate of (binding, reals), resolved once: each
     connective becomes a closure over its compiled operands, and each atom
     knows up front its accepted orders and whether a side uses eps.
     Connectives short-circuit left to right.
 
     ``inner`` names the variables of a check's innermost block when outer
-    blocks bind the rest.  An atom side that mentions none of them does not
-    change while that block's loop runs: it is kept in ``hoisted``, which
-    the loop clears each time it starts, with separate entries for the
-    float and the field path.  A side that is a bare variable is then read
-    from the binding.
+    blocks bind the rest; ``scopes`` is then [outer scope, sample scope].
+    An atom side in none of the innermost variables is kept in the outer
+    scope, which the loop empties when it starts under a new outer binding;
+    one in innermost variables alone is kept in its drawn sample's scope,
+    shared by every witness candidate that replays the sample.  Either is
+    computed at its first read (so a guard still protects it), once per
+    path, float or field, and sides that render alike share the entry
+    (``sides``).  A bare-variable side is read from the binding.
     """
+    if sides is None:
+        sides = {}
     if isinstance(node, Atom):
-        return _compile_atom(node, config, inner, hoisted)
+        return _compile_atom(node, config, inner, scopes, sides)
     if isinstance(node, Not):
-        operand = _compile(node.operand, config, inner, hoisted)
+        operand = _compile(node.operand, config, inner, scopes, sides)
         return lambda binding, reals: not operand(binding, reals)
     if isinstance(node, (And, Or, Implies)):
-        left = _compile(node.left, config, inner, hoisted)
-        right = _compile(node.right, config, inner, hoisted)
+        left = _compile(node.left, config, inner, scopes, sides)
+        right = _compile(node.right, config, inner, scopes, sides)
         if isinstance(node, And):
             return lambda binding, reals: left(binding, reals) and right(binding, reals)
         if isinstance(node, Or):
@@ -493,14 +507,14 @@ def _compile(node, config: FieldConfig, inner=None, hoisted=None):
     raise TypeError(f"not a matrix node: {node!r}")
 
 
-def _compile_atom(atom: Atom, config: FieldConfig, inner, hoisted):
+def _compile_atom(atom: Atom, config: FieldConfig, inner, scopes, sides):
     accept = field.ACCEPTS.get(atom.op)
     if accept is None:
         raise TypeError(f"not a comparison operator: {atom.op!r}")
     left_vars, right_vars = free_variables(atom.left), free_variables(atom.right)
     scalar = "eps" not in left_vars | right_vars
-    left_real, left_field = _side(atom.left, left_vars, config, inner, hoisted)
-    right_real, right_field = _side(atom.right, right_vars, config, inner, hoisted)
+    left_real, left_field = _side(atom.left, left_vars, config, inner, scopes, sides)
+    right_real, right_field = _side(atom.right, right_vars, config, inner, scopes, sides)
 
     def holds(binding, reals) -> bool:
         try:
@@ -515,29 +529,32 @@ def _compile_atom(atom: Atom, config: FieldConfig, inner, hoisted):
     return holds
 
 
-def _side(e: Expr, free: set, config: FieldConfig, inner, hoisted) -> tuple:
-    """The (float, field) readers of one side of an atom.  In a check with
-    an innermost block (``inner``), a bare variable is read from the
-    binding, and a side mentioning no innermost variable is cached; any
-    other side is evaluated."""
+def _side(e: Expr, free: set, config: FieldConfig, inner, scopes, sides) -> tuple:
+    """The (float, field) readers of one side of an atom: read from the
+    binding, cached in the scope its variables allow, or evaluated."""
     if inner is not None and type(e) is Var:
         name = e.name
         return (lambda reals: reals[name]), (lambda binding: binding[name])
     real, hyper = partial(eval_real, e), partial(_eval_hyper, e, config=config)
-    if inner is None or not free.isdisjoint(inner):
+    scope = 1 if inner and free & inner else 0
+    if inner is None or (scope and not free - inner <= {"eps"}):
         return real, hyper
-    return _cached(real, hoisted), _cached(hyper, hoisted)
+    key = render_expr(e)
+    if key not in sides:
+        sides[key] = _cached(real, scopes, scope), _cached(hyper, scopes, scope)
+    return sides[key]
 
 
-def _cached(compute, hoisted):
-    """compute, run at the first read after ``hoisted`` is cleared (so a
-    guard still protects it and an error is raised where it was), keyed in
-    ``hoisted`` by compute itself."""
+def _cached(compute, scopes, scope: int):
+    """compute, run at the first read in ``scopes[scope]`` (so a guard still
+    protects it and an error is raised where it was), keyed there by
+    compute itself."""
 
     def read(values):
-        value = hoisted.get(compute, _UNSET)
+        kept = scopes[scope]
+        value = kept.get(compute, _UNSET)
         if value is _UNSET:
-            value = hoisted[compute] = compute(values)
+            value = kept[compute] = compute(values)
         return value
 
     return read
@@ -563,18 +580,19 @@ def _blocks(prefix):
 
 class _Game:
     """What one check sets up once: the quantifier blocks, the compiled
-    matrix and the memo of its sides hoisted out of the innermost block, the
-    sampler and its RNG, the eps binding and each stratum's coverage probes.
+    matrix and the scopes of its cached sides, each stratum's drawer and
+    the RNG, the eps binding and each stratum's coverage probes.
     ``evaluations`` counts matrix evaluations."""
 
-    __slots__ = ("blocks", "holds", "hoisted", "rng", "cfg", "config", "eps", "probes", "evaluations")
+    __slots__ = ("blocks", "holds", "scopes", "rng", "draw", "cfg", "config", "eps", "probes", "evaluations")
 
     def __init__(self, formula: Formula, cfg: SamplerConfig, config: FieldConfig):
         self.blocks = _blocks(formula.prefix)
         inner = {q.var for q in self.blocks[-1][1]} if len(self.blocks) > 1 else None
-        self.hoisted = {}
-        self.holds = _compile(formula.matrix, config, inner, self.hoisted)
+        self.scopes = [{}, {}]
+        self.holds = _compile(formula.matrix, config, inner, self.scopes)
         self.rng = random.Random(cfg.seed)
+        self.draw = {q.stratum: _drawer(q.stratum, cfg, config) for q in formula.prefix}
         self.cfg, self.config = cfg, config
         self.eps = field.eps(config)
         self.probes = {q.stratum: _coverage_values(q.stratum, config) for q in formula.prefix}
@@ -583,17 +601,19 @@ class _Game:
 
 def _forall_assignments(quants, n, game: _Game):
     """Coverage probes (a deterministic product over per-variable probe lists,
-    capped at half the budget) followed by joint random draws, n in total."""
+    capped at half the budget) followed by joint random draws, n in total.
+    Each assignment comes with a scope of its own for the cached sides."""
+    names = [q.var for q in quants]
     produced = 0
     for combo in itertools.islice(itertools.product(*[game.probes[q.stratum] for q in quants]),
                                   max(1, n // 2)):
         if produced >= n:
             return
-        yield dict(zip((q.var for q in quants), combo))
+        yield dict(zip(names, combo)), {}
         produced += 1
-    rng, cfg, config = game.rng, game.cfg, game.config
+    rng, draws = game.rng, [(q.var, game.draw[q.stratum]) for q in quants]
     while produced < n:
-        yield {q.var: sample(q.stratum, cfg, rng, config) for q in quants}
+        yield {name: draw(rng) for name, draw in draws}, {}
         produced += 1
 
 
@@ -609,8 +629,23 @@ def _witness_candidates(quant, binding, game: _Game):
         if stratum_contains(u, quant.stratum) and u.terms not in seen:
             seen.add(u.terms)
             yield u
+    draw, rng = game.draw[quant.stratum], game.rng
     for _ in range(game.cfg.witness_pool):
-        yield sample(quant.stratum, game.cfg, game.rng, config)
+        yield draw(rng)
+
+
+def _diagonals(pools):
+    """Tuples of one candidate from each pool by increasing sum of their
+    ranks (Cantor diagonals), lexicographic within a sum, so that a budget
+    cut short still takes every variable past its first candidates."""
+    for total in range(sum(map(len, pools))):
+        yield from _with_sum(pools, total)
+
+
+def _with_sum(pools, total):
+    if len(pools) == 1:
+        return [(pools[0][total],)] if total < len(pools[0]) else []
+    return [(u, *rest) for i, u in enumerate(pools[0][:total + 1]) for rest in _with_sum(pools[1:], total - i)]
 
 
 def _eval_blocks(game: _Game, blocks, binding, inside_exists, memo=None):
@@ -620,7 +655,7 @@ def _eval_blocks(game: _Game, blocks, binding, inside_exists, memo=None):
 
     ``memo`` shares the drawn forall batches between the candidates of one
     existential entry, so every witness candidate is verified against the
-    same sample set.
+    same sample set, and the sides cached per sample are computed once.
     """
     if not blocks:
         game.evaluations += 1
@@ -632,30 +667,30 @@ def _eval_blocks(game: _Game, blocks, binding, inside_exists, memo=None):
         if memo is not None:
             assignments = memo.get(len(blocks))
             if assignments is None:
-                assignments = list(_forall_assignments(quants, n, game))
-                memo[len(blocks)] = assignments
+                assignments = memo[len(blocks)] = list(_forall_assignments(quants, n, game))
         else:
             assignments = _forall_assignments(quants, n, game)
         descend = _descend(game, rest, binding, inside_exists, memo)
-        for assignment in assignments:
-            ok, info = descend(assignment)
+        for assignment, scope in assignments:
+            ok, info = descend(assignment, scope)
             if not ok:
                 return False, {**assignment, **info}
         return True, {}
     # existential block: search candidates per variable, first distinguished
     # then random; candidates are drawn lazily since most searches succeed
-    # within the first few.
+    # within the first few.  Several variables walk their pools jointly by
+    # rank sum, within pool * len(quants) tries.
     names = [q.var for q in quants]
     pool = game.cfg.witness_pool
     if len(quants) == 1:
         combos = ((u,) for u in itertools.islice(_witness_candidates(quants[0], binding, game), pool))
     else:
         pools = [list(itertools.islice(_witness_candidates(q, binding, game), pool)) for q in quants]
-        combos = itertools.islice(itertools.product(*pools), pool * len(quants))
+        combos = itertools.islice(_diagonals(pools), pool * len(quants))
     descend = _descend(game, rest, binding, True, {})
     for combo in combos:
         assignment = dict(zip(names, combo))
-        ok, info = descend(assignment)
+        ok, info = descend(assignment, {})
         if ok:
             return True, {**assignment, **info}
     return False, {}
@@ -663,20 +698,29 @@ def _eval_blocks(game: _Game, blocks, binding, inside_exists, memo=None):
 
 def _descend(game: _Game, rest, binding, inside_exists, memo):
     """The evaluation of the blocks after the current one, as a function of
-    an assignment of the current block made under ``binding``."""
+    an assignment of the current block made under ``binding`` and the
+    assignment's scope."""
     if rest:
-        return lambda assignment: _eval_blocks(game, rest, {**binding, **assignment}, inside_exists, memo)
-    # The innermost block: a new outer binding, so the hoisted sides are
-    # forgotten, and its eps entry and real projection are built once for
+        return lambda assignment, scope: _eval_blocks(game, rest, {**binding, **assignment}, inside_exists, memo)
+    # The innermost block: a new outer binding, so the outer scope is
+    # emptied, and its eps entry and real projection are built once for
     # the whole loop.  ``binding`` itself stays free of eps, since the
     # witness candidates are drawn from its values.
-    game.hoisted.clear()
+    scopes = game.scopes
+    scopes[0] = {}
     outer, outer_reals = _bind(binding, game.eps)
     holds = game.holds
 
-    def evaluate(assignment):
+    def evaluate(assignment, scope):
         game.evaluations += 1
-        reals = None if outer_reals is None else field.project_reals(assignment, dict(outer_reals))
+        scopes[1] = scope
+        reals = None
+        if outer_reals is not None:
+            own = scope.get(_REALS, _UNSET)
+            if own is _UNSET:
+                own = scope[_REALS] = field.project_reals(assignment, {})
+            if own is not None:
+                reals = {**outer_reals, **own}
         return holds({**outer, **assignment}, reals), {}
 
     return evaluate

@@ -1,5 +1,6 @@
 """Field arithmetic, order, classification, and rendering tests."""
 
+import math
 import operator
 import random
 from fractions import Fraction
@@ -126,6 +127,80 @@ def test_compare_examples():
     assert compare(field.infinite(), real(1e6)) == GREATER
     assert compare(1 + E, one()) == GREATER
     assert compare(real(1.0), real(1.0 + 1e-12)) == EQUAL  # within eq_tol
+
+
+def _reference_compare(a, b):
+    """compare() built the plain way: the whole difference in a dict, its
+    kept orders filtered into a list, the leading one by min and the
+    largest within its depth window by max."""
+    config = a.config
+    den, pa, pb = field._aligned(a, b)
+    d = dict(pa)
+    for k, c in pb:
+        d[k] = d.get(k, 0.0) - c
+    kept = [(k, c) for k, c in d.items() if abs(c) > config.zero_tol]
+    if not kept:
+        return EQUAL
+    lead, sign = min(kept)
+    if abs(sign) <= config.eq_tol:
+        limit = lead + config.depth * den
+        if max(abs(c) for k, c in kept if k <= limit) <= config.eq_tol:
+            return EQUAL
+    return GREATER if sign > 0 else LESS
+
+
+def _compare_corpus(rng, config, n):
+    """Pairs (a, b) where b is a perturbed at the tolerances that decide
+    the outcome: by zero_tol, by eq_tol and either side of it, by 1, and at
+    orders of its own, on the lattices 1, 1/2, 1/3 and 1/6."""
+    zt, tol = config.zero_tol, config.eq_tol
+    sizes = (0.0, zt, 0.5 * tol, tol, 2 * tol, 1.0)
+    for _ in range(n):
+        den = rng.choice((1, 2, 3, 6))
+        coefs = {rng.randrange(-2 * den, 3 * den): rng.uniform(-2, 2) for _ in range(rng.randint(0, 4))}
+        a = field.from_lattice(den, coefs, config)
+        den_b = rng.choice((den, 1, 2, 3))
+        step = math.lcm(den, den_b)
+        moved = {k * (step // den): c for k, c in coefs.items()}
+        for k in list(moved) + [rng.randrange(-2 * step, 3 * step) for _ in range(rng.randint(0, 2))]:
+            moved[k] = moved.get(k, 0.0) + rng.choice((-1, 1)) * rng.choice(sizes)
+        yield a, field.from_lattice(step, moved, config)
+
+
+def test_compare_walk_matches_reference():
+    cases = [
+        # the leading difference is inside eq_tol and a later order is above it
+        (real(1.0) + E ** 2, real(1.0 + 5e-11)),
+        # everything in the leading order's window is inside eq_tol, and b
+        # has a large order just past it (b's own window starts one higher)
+        (real(5e-11), 3e-11 * E + 7 * E ** 11),
+        (real(5e-11), 3e-11 * E + 7 * E ** 10),
+        # empty operands
+        (zero(), zero()), (zero(), E), (-E, zero()), (zero(), real(1e-11)),
+        # mixed lattices
+        (lc((Fraction(1, 2), 1.0), (Fraction(2, 3), 1.0)), lc((Fraction(1, 2), 1.0), (Fraction(5, 6), 1.0))),
+        # inf - inf is nan, which is not kept
+        (lc((0, math.inf), (1, 1.0)), lc((0, math.inf))),
+    ]
+    assert [compare(a, b) for a, b in cases[:3]] == [LESS, EQUAL, GREATER]
+    # a leading difference of exactly zero_tol is dropped, so the next order
+    # decides; one just above it is kept and decides itself
+    coarse = FieldConfig(depth=3, max_terms=8, zero_tol=0.25, eq_tol=0.5)
+    at_zt = [(field.from_lattice(1, {0: c, 1: 0.5}, coarse), field.from_lattice(1, {0: 0.5, 1: 1.5}, coarse))
+             for c in (0.75, 0.8)]
+    assert [compare(a, b) for a, b in at_zt] == [LESS, GREATER]
+    narrow = FieldConfig(depth=2, max_terms=3, zero_tol=1e-6, eq_tol=1e-3)
+    rng = random.Random(0)
+    for config, n in ((CFG, 3000), (narrow, 3000), (coarse, 1000)):
+        cases.extend(_compare_corpus(rng, config, n))
+    cases.extend(at_zt)
+    outcomes = set()
+    for a, b in cases:
+        for u, v in ((a, b), (b, a), (a, a)):
+            outcome = compare(u, v)
+            assert outcome == _reference_compare(u, v), (str(u), str(v))
+            outcomes.add(outcome)
+    assert outcomes == {LESS, EQUAL, GREATER}
 
 
 def test_standard_part_examples():

@@ -1,5 +1,6 @@
 """Formula DSL parsing, sampling, and transfer-checker tests."""
 
+import itertools
 import json
 import math
 import random
@@ -279,10 +280,13 @@ def _reference_sample(stratum, cfg, rng, config):
 def test_sampler_matches_fraction_reference(stratum):
     # The default knobs over 10^4 draws, then a narrow window (depth 1, two
     # terms, a coarse zero_tol) on finer lattices, where normalization drops
-    # orders: the same lattice, the same pairs and the same RNG state.
+    # orders, then uneven shape weights: the same lattice, the same pairs
+    # and the same RNG state.
     narrow = field.FieldConfig(depth=1, max_terms=2, zero_tol=0.01, eq_tol=0.01)
+    uneven = SamplerConfig(weights={"real": 0.3, "infinitesimal": 2.0, "infinite": 0.0, "mixed": 1.5})
     for cfg, config, draws in ((SamplerConfig(), field.DEFAULT_CONFIG, 10_000),
-                               (SamplerConfig(exp_den_bound=6), narrow, 2_000)):
+                               (SamplerConfig(exp_den_bound=6), narrow, 2_000),
+                               (uneven, field.DEFAULT_CONFIG, 2_000)):
         rng, ref_rng = random.Random(17), random.Random(17)
         for _ in range(draws):
             u, v = sample(stratum, cfg, rng, config), _reference_sample(stratum, cfg, ref_rng, config)
@@ -350,6 +354,26 @@ def test_witness_not_found_is_inconclusive():
     assert rep2.assignment
 
 
+def test_existential_block_searches_jointly():
+    # Walking the product of the pools in lexicographic order tried only the
+    # first two candidates for a; by rank sum, a and b both go deeper.
+    for src in ("exists a: any, exists b: any. a < 0 and b < 0",
+                "exists a: real, exists b: real. a < -2 and b < -2"):
+        f = parse_formula(src)
+        rep = check(f, SamplerConfig(witness_pool=200, seed=5))
+        assert rep.verdict == "witness-found", src
+        assert rep.samples_used <= 400
+        assert evaluate_matrix(f.matrix, rep.witness) is True
+
+
+def test_diagonals_cover_the_product_by_rank_sum():
+    assert list(formulas._diagonals([range(2), range(3)])) == [(0, 0), (0, 1), (1, 0), (0, 2), (1, 1), (1, 2)]
+    for sizes in ([1, 1], [3, 1], [2, 4, 3], [5, 2, 1, 2]):
+        index = list(formulas._diagonals([range(n) for n in sizes]))
+        assert sorted(index) == list(itertools.product(*map(range, sizes)))
+        assert [sum(t) for t in index] == sorted(sum(t) for t in index)
+
+
 def test_determinism():
     f = parse_formula(RECIPROCAL)
     r1 = check(f, SamplerConfig(samples=500, seed=11))
@@ -395,7 +419,8 @@ def test_hoisted_side_waits_for_its_guard():
 
 
 def test_hoisted_sides_are_computed_once_per_innermost_loop(monkeypatch):
-    # continuity.fof line 4: "0.3 - d" does not mention x, "x^2" does.
+    # continuity.fof line 4: "0.3 - d" does not mention x, "x^2" mentions x
+    # alone and stands in two atoms.
     lines = parse_formula_file((FORMULA_DIR / "continuity.fof").read_text())
     matrix = lines[1][2].matrix
     guard, goal = matrix.left, matrix.right
@@ -405,11 +430,11 @@ def test_hoisted_sides_are_computed_once_per_innermost_loop(monkeypatch):
     eval_real, eval_hyper, compile_matrix = formulas.eval_real, formulas._eval_hyper, formulas._compile
 
     def spy_real(e, reals):
-        calls.append((id(e), "real", reals.get("e"), reals.get("d")))
+        calls.append((id(e), "real", reals.get("e"), reals.get("d"), reals.get("x")))
         return eval_real(e, reals)
 
     def spy_hyper(e, binding, config):
-        calls.append((id(e), "field", binding["e"].terms, binding["d"].terms))
+        calls.append((id(e), "field", binding["e"].terms, binding["d"].terms, binding["x"].terms))
         return eval_hyper(e, binding, config)
 
     evaluations = []
@@ -432,19 +457,121 @@ def test_hoisted_sides_are_computed_once_per_innermost_loop(monkeypatch):
     assert report == json.loads(GOLDEN_REPORTS.read_text())["continuity.fof:4:5"]
     assert len(evaluations) == report["samples_used"]
 
-    hoisted = [key for key in calls if key[0] == id(delta_low)]
+    hoisted = [key[:4] for key in calls if key[0] == id(delta_low)]
     assert {path for _, path, _, _ in hoisted} == {"real", "field"}
     assert len(hoisted) == len(set(hoisted))  # once per (e, d) pair and path
     assert not any(key[0] == id(x_var) for key in calls)  # bare variables are read directly
-    hoisted_squares = sum(key[0] in squares for key in calls)
+    # x^2 once per drawn x (each e draws its own batch) and path, whatever
+    # the witness candidate d, and one value serves both atoms
+    per_sample = [(path, e, x) for key, path, e, _, x in calls if key in squares]
+    assert len(per_sample) == len(set(per_sample)) > 0
+    assert len({key[0] for key in calls if key[0] in squares}) == 1
 
-    # The same evaluations through the matrix compiled without hoisting.
+    # The same evaluations through the matrix compiled without caching.
     calls.clear()
     plain = compile_matrix(matrix, field.DEFAULT_CONFIG)
     for binding, reals in evaluations:
         plain(binding, reals)
-    assert sum(key[0] in squares for key in calls) == hoisted_squares > 0
+    assert sum(key[0] in squares for key in calls) > 2 * len(per_sample)
     assert sum(key[0] == id(delta_low) for key in calls) > 10 * len(hoisted)
+
+
+def _uncached(monkeypatch):
+    """Make check() compile its matrix without any cached side."""
+    compile_matrix = formulas._compile
+    monkeypatch.setattr(formulas, "_compile", lambda node, config, *scoping: compile_matrix(node, config))
+
+
+# Under "forall e, exists d, forall x": a guarded side in x alone, sides in
+# x alone that raise at a probe or at a drawn sample, and a side mixing x
+# with the witness d.
+CACHED_SIDES = [
+    "forall e: positive-real, exists d: positive-real, forall x: finite. "
+    "not (x = 0) => (1/x < e + d or e + d <= 1/x)",
+    "forall e: positive-real, exists d: positive-real, forall x: any. 1/x < e or e <= 1/x",
+    "forall e: positive-real, exists d: positive-real, forall x: finite. x*d < e or e < 2 or 1/(x - 1) < e + x*x",
+    "forall e: positive-real, exists d: positive-real, forall x: finite. x*d < e and -e < x*d",
+    "forall e: positive, exists d: positive, forall x: any. (0 - d < x and x < d) => x*x < e",
+]
+
+
+@pytest.mark.parametrize("src", CACHED_SIDES)
+def test_cached_sides_keep_reports_errors_and_counts(src, monkeypatch):
+    formula = parse_formula(src)
+    game_init, games = formulas._Game.__init__, []
+
+    def counting_init(game, *args):
+        game_init(game, *args)
+        games.append(game)
+
+    monkeypatch.setattr(formulas._Game, "__init__", counting_init)
+    outcomes = []
+    for cached in (True, False):
+        if not cached:
+            _uncached(monkeypatch)
+        runs = []
+        for seed in (0, 5):
+            try:
+                runs.append(check(formula, SamplerConfig(samples=40, nested_samples=30, seed=seed)).to_json())
+            except EvaluationError as e:
+                runs.append(str(e))
+        outcomes.append((runs, [game.evaluations for game in games]))
+        games.clear()
+    assert outcomes[0] == outcomes[1]
+
+
+def test_guarded_inner_side_waits_for_its_guard():
+    # 1/x mentions only x, so it is cached per sample; the x = 0 probe must
+    # still reach it only through the guard.
+    guarded = parse_formula(CACHED_SIDES[0])
+    assert check(guarded, SamplerConfig(samples=50, seed=7)).verdict == "not-falsified"
+    with pytest.raises(EvaluationError, match=r"division by zero \(at e = 1, d = 1, x = 0\)"):
+        check(parse_formula(CACHED_SIDES[1]), SamplerConfig(samples=50, seed=7))
+
+
+def test_mixed_side_is_computed_for_each_candidate(monkeypatch):
+    formula = parse_formula(CACHED_SIDES[3])
+    mixed = formula.matrix.left.left
+    seen = []
+    eval_hyper, compile_matrix = formulas._eval_hyper, formulas._compile
+
+    def spy_hyper(e, binding, config):
+        if e is mixed:
+            seen.append((binding["x"].terms, binding["d"].terms))
+        return eval_hyper(e, binding, config)
+
+    def recording_compile(node, *args):
+        holds = compile_matrix(node, *args)
+
+        def recorded(binding, reals):
+            seen.append(("holds", binding, holds(binding, reals)))
+            return seen[-1][2]
+
+        return recorded if node is formula.matrix else holds
+
+    monkeypatch.setattr(formulas, "_eval_hyper", spy_hyper)
+    monkeypatch.setattr(formulas, "_compile", recording_compile)
+    check(formula, SamplerConfig(samples=40, nested_samples=30, seed=3))
+    monkeypatch.undo()
+    candidates = {}
+    for entry in seen:
+        if entry[0] == "holds":
+            _, binding, truth = entry
+            assert evaluate_matrix(formula.matrix, binding) is truth
+        else:
+            candidates.setdefault(entry[0], set()).add(entry[1])
+    # the same drawn x meets several witness candidates d
+    assert max(len(ds) for ds in candidates.values()) > 1
+
+
+def test_sample_draws_match_recorded():
+    # The first 20 draws of each stratum from one seed-0 RNG, as drawn before
+    # each stratum's shapes and cumulative weights were resolved once.
+    recorded = json.loads(Path(__file__).with_name("sample_golden.json").read_text())
+    assert set(recorded) == set(STRATA)
+    for stratum in STRATA:
+        rng = random.Random(0)
+        assert [str(sample(stratum, SamplerConfig(), rng)) for _ in range(20)] == recorded[stratum]
 
 
 def test_atom_without_invariant_side_is_evaluated_at_every_draw(monkeypatch):
@@ -462,20 +589,25 @@ def test_atom_without_invariant_side_is_evaluated_at_every_draw(monkeypatch):
 
     monkeypatch.setattr(formulas, "eval_real", spy_real)
     monkeypatch.setattr(formulas, "_eval_hyper", spy_hyper)
-    hoisted = {}
-    holds = formulas._compile(atom, field.DEFAULT_CONFIG, {"b"}, hoisted)
+    scopes = [{}, {}]
+    holds = formulas._compile(atom, field.DEFAULT_CONFIG, {"b"}, scopes)
     a = field.LCNumber.from_real(2.0)
     for b in (-1.0, 0.5, 3.0, -1.0):
         b_lc = field.LCNumber.from_real(b)
+        scopes[1] = {}  # a new draw of b
         for path, reals in (("real", {"a": 2.0, "b": b}), ("field", None)):
             calls.clear()
             assert holds({"a": a, "b": b_lc, "eps": field.eps()}, reals) is (2.0 * b < b * b)
             assert calls == [(atom.left, path), (atom.right, path)]
-    assert hoisted == {}
-    # with "a" innermost, "b * b" does not change and is kept in the memo
-    holds = formulas._compile(atom, field.DEFAULT_CONFIG, {"a"}, hoisted)
+            # the same draw again: "b * b" is kept in its scope, "a * b" is not
+            calls.clear()
+            holds({"a": a, "b": b_lc, "eps": field.eps()}, reals)
+            assert calls == [(atom.left, path)]
+    assert scopes[0] == {}
+    # with "a" innermost, "b * b" does not change and is kept in the outer scope
+    holds = formulas._compile(atom, field.DEFAULT_CONFIG, {"a"}, scopes)
     holds({"a": a, "b": a, "eps": field.eps()}, {"a": 2.0, "b": 2.0})
-    assert len(hoisted) == 1
+    assert len(scopes[0]) == 1
 
 
 @pytest.mark.parametrize("binding", [{"x": field.LCNumber.from_real(1.5)}, {"x": 1 + field.eps()}],
