@@ -333,7 +333,7 @@ def mvt_theta_infinitesimal(f: Expr, x: float, h: "LCNumber | None" = None,
     while exact <= config.depth and not r.is_zero:
         shifted = field.add(x_lc, field.mul(theta, h))
         dphi = field.neg(field.mul(field.mul(h, h), eval_hyper(fpp, {var: shifted}, config, fpp_plan)))
-        theta = field.sub(theta, field.mul(r, field.inv(dphi)))
+        theta = field.sub(theta, field.div(r, dphi))
         r = residual(theta)
         exact = 2 * exact + q if k == 1 else 2 * exact
     return ThetaResult(theta, r, k)
@@ -346,18 +346,25 @@ def evt_max(f: Expr, a: float, b: float, grid: int = 1000, max_rounds: int = 40,
     Each round partitions the current window into ``grid`` cells, takes the
     smallest argmax index i0 (deterministic tie-break), then zooms to two
     cells on either side of x_i0.  Rounds stop when consecutive argmax
-    abscissae differ by less than tol_x.  The trace records, per round, the
-    partition size H relative to the original interval together with i0 and
-    x_i0; its limit plays the role of the shadow of the argmax point.
+    abscissae differ by less than tol_x, or when the next window's cells
+    would have zero width in floats (the window has collapsed onto one
+    float, as it does when tol_x is at or below the float spacing near the
+    argmax).  The trace records, per round, the partition size H relative
+    to the original interval together with i0 and x_i0; its limit plays the
+    role of the shadow of the argmax point.  grid and max_rounds must be at
+    least 1, tol_x at least 0, and a < b with cells of nonzero width.
     """
-    if not a < b:
-        raise ValueError("need a < b")
+    if grid < 1 or max_rounds < 1:
+        raise ValueError("grid and max_rounds must be >= 1")
+    if not tol_x >= 0:
+        raise ValueError("tol_x must be >= 0")
+    if not (b - a) / grid > 0:
+        raise ValueError("need a < b, with cells of nonzero width")
     var = _the_var(f, var)
     plan = _sharing_plan(f)
     lo, hi = a, b
     trace = []
     prev_x = None
-    x_best = a
     for _ in range(max_rounds):
         xs = np.linspace(lo, hi, grid + 1)
         vals = _on_grid(f, var, xs, plan)
@@ -371,6 +378,8 @@ def evt_max(f: Expr, a: float, b: float, grid: int = 1000, max_rounds: int = 40,
         prev_x = x_best
         lo = max(a, x_best - 2 * spacing)
         hi = min(b, x_best + 2 * spacing)
+        if not (hi - lo) / grid:  # the window has collapsed onto one float
+            break
     max_value = float(eval_real(f, {var: x_best}))
     return PartitionResult(x_best, max_value, trace[-1][0], trace)
 

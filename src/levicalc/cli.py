@@ -16,7 +16,7 @@ import sys
 
 from . import calculus, field, formulas
 from .errors import LevicalcError
-from .expr import parse_expr
+from .expr import eval_hyper, parse_expr
 from .field import FieldConfig
 
 CONFIG_ENV_VAR = "LEVICALC_CONFIG"
@@ -158,8 +158,6 @@ def _cmd_eval(args, config, fmt) -> int:
         if not sep:
             raise LevicalcError(f"--at expects NAME=SERIES, got {item!r}")
         binding[name.strip()] = field.parse_lc(literal.strip(), config)
-    from .expr import eval_hyper
-
     value = eval_hyper(parse_expr(args.expr), binding, config)
     _emit(field.to_json(value), fmt, str(value))
     return 0
@@ -181,18 +179,13 @@ def _cmd_mvt_theta(args, config, fmt) -> int:
     f = parse_expr(args.expr)
     if args.h is not None:
         result = calculus.mvt_theta_real(f, args.x, args.h, config=config)
-        text = (f"theta = {_fmt_float(result.theta)}\n"
-                f"residual = {_fmt_float(result.residual)}\n"
-                f"leading_order = {result.leading_order}\n"
-                f"degenerate = {str(result.degenerate).lower()}")
+        text = f"theta = {_fmt_float(result.theta)}\nresidual = {_fmt_float(result.residual)}"
     else:
         literal = args.h_infinitesimal
         h = field.eps(config) if literal == "eps" else field.parse_lc(literal, config)
         result = calculus.mvt_theta_infinitesimal(f, args.x, h, config=config)
-        text = (f"theta = {result.theta}\n"
-                f"residual_norm = {_fmt_float(result.residual_norm)}\n"
-                f"leading_order = {result.leading_order}\n"
-                f"degenerate = {str(result.degenerate).lower()}")
+        text = f"theta = {result.theta}\nresidual_norm = {_fmt_float(result.residual_norm)}"
+    text += f"\nleading_order = {result.leading_order}\ndegenerate = {str(result.degenerate).lower()}"
     _emit(result.to_json(), fmt, text)
     return 0
 
@@ -238,14 +231,8 @@ def _cmd_taylor_check(args, config, fmt) -> int:
 def _cmd_transfer_check(args, config, fmt) -> int:
     with open(args.file, encoding="utf-8") as fh:
         parsed = formulas.parse_formula_file(fh.read())
-    sampler_args = {}
-    if args.samples is not None:
-        sampler_args["samples"] = args.samples
-    if args.seed is not None:
-        sampler_args["seed"] = args.seed
-    if args.witness_pool is not None:
-        sampler_args["witness_pool"] = args.witness_pool
-    sampler = formulas.SamplerConfig(**sampler_args)
+    given = {name: getattr(args, name) for name in ("samples", "seed", "witness_pool")}
+    sampler = formulas.SamplerConfig(**{name: value for name, value in given.items() if value is not None})
 
     reports = []
     any_falsified = False

@@ -199,7 +199,9 @@ def _parse_atom(stream: TokenStream) -> Expr:
 
 # -- rendering ---------------------------------------------------------------
 
-_PREC = {Add: 1, Sub: 1, Mul: 2, Div: 2, Neg: 2, Pow: 3}
+# Precedence and symbol of each binary operator; all of them group to the
+# left.  Unary minus binds at 2 and "^" at 3.
+_BINARY = {Add: (1, "+"), Sub: (1, "-"), Mul: (2, "*"), Div: (2, "/")}
 
 
 def render_expr(e: Expr, min_prec: int = 0) -> str:
@@ -213,21 +215,14 @@ def render_expr(e: Expr, min_prec: int = 0) -> str:
         return e.name
     if isinstance(e, Call):
         return f"{e.func}({render_expr(e.arg)})"
-    prec = _PREC[type(e)]
-    if isinstance(e, (Add, Sub)):
-        op = "+" if isinstance(e, Add) else "-"
-        out = f"{render_expr(e.left, prec)} {op} {render_expr(e.right, prec + 1)}"
-    elif isinstance(e, (Mul, Div)):
-        op = "*" if isinstance(e, Mul) else "/"
-        out = f"{render_expr(e.left, prec)} {op} {render_expr(e.right, prec + 1)}"
-    elif isinstance(e, Neg):
-        out = f"-{render_expr(e.operand, prec + 1)}"
+    if isinstance(e, Neg):
+        prec, out = 2, f"-{render_expr(e.operand, 3)}"
+    elif isinstance(e, Pow):
+        prec, out = 3, f"{render_expr(e.base, 4)}^{e.exponent}"
     else:
-        k = e.exponent
-        out = f"{render_expr(e.base, prec + 1)}^{k}"
-    if prec < min_prec:
-        return f"({out})"
-    return out
+        prec, op = _BINARY[type(e)]
+        out = f"{render_expr(e.left, prec)} {op} {render_expr(e.right, prec + 1)}"
+    return f"({out})" if prec < min_prec else out
 
 
 # -- evaluation: one walk over two number systems ------------------------------
@@ -390,7 +385,7 @@ def _field_algebra(config: FieldConfig) -> _Algebra:
     # field.* and _call_hyper are looked up at each call, not stored here, so
     # that a wrapper installed on them later still sees every call.
     return _Algebra(field, lru_cache(maxsize=4096)(lambda value: LCNumber.from_real(value, config)),
-                    lambda num, den: field.mul(num, field.inv(den)),
+                    lambda num, den: field.div(num, den),
                     lambda base, k: field.powi(base, k),
                     lambda func, u: _call_hyper(func, u))
 

@@ -216,54 +216,39 @@ class LCNumber:
 
     # -- arithmetic --------------------------------------------------------
 
-    def _coerce(self, other):
+    def _dispatch(self, other, fn, reflected: bool = False):
+        """fn(self, other), or fn(other, self) when ``reflected``, with a
+        scalar operand lifted into the field; NotImplemented for any other
+        operand type."""
         if isinstance(other, LCNumber):
-            if other.config is not self.config and other.config != self.config:
-                raise ValueError("operands carry different FieldConfig values")
-            return other
-        if isinstance(other, (int, float, Fraction)):
-            return LCNumber.from_real(other, self.config)
-        return None
+            _require_same_config(self, other)
+        elif isinstance(other, (int, float, Fraction)):
+            other = LCNumber.from_real(other, self.config)
+        else:
+            return NotImplemented
+        return fn(other, self) if reflected else fn(self, other)
 
     def __add__(self, other):
-        other = self._coerce(other)
-        if other is None:
-            return NotImplemented
-        return add(self, other)
+        return self._dispatch(other, add)
 
     __radd__ = __add__
 
     def __sub__(self, other):
-        other = self._coerce(other)
-        if other is None:
-            return NotImplemented
-        return sub(self, other)
+        return self._dispatch(other, sub)
 
     def __rsub__(self, other):
-        other = self._coerce(other)
-        if other is None:
-            return NotImplemented
-        return sub(other, self)
+        return self._dispatch(other, sub, True)
 
     def __mul__(self, other):
-        other = self._coerce(other)
-        if other is None:
-            return NotImplemented
-        return mul(self, other)
+        return self._dispatch(other, mul)
 
     __rmul__ = __mul__
 
     def __truediv__(self, other):
-        other = self._coerce(other)
-        if other is None:
-            return NotImplemented
-        return mul(self, inv(other))
+        return self._dispatch(other, div)
 
     def __rtruediv__(self, other):
-        other = self._coerce(other)
-        if other is None:
-            return NotImplemented
-        return mul(other, inv(self))
+        return self._dispatch(other, div, True)
 
     def __neg__(self):
         return neg(self)
@@ -282,10 +267,8 @@ class LCNumber:
     # -- order -------------------------------------------------------------
 
     def _order(self, other, op: str):
-        other = self._coerce(other)
-        if other is None:
-            return NotImplemented
-        return compare(self, other) in ACCEPTS[op]
+        order = self._dispatch(other, compare)
+        return order if order is NotImplemented else order in ACCEPTS[op]
 
     def __eq__(self, other):
         return self._order(other, "=")
@@ -421,17 +404,16 @@ def mul(a: LCNumber, b: LCNumber) -> LCNumber:
     return _lc(den, _settle(out, den, config), config)
 
 
+def div(a: LCNumber, b: LCNumber) -> LCNumber:
+    """The quotient a/b, as a times the inverse of b."""
+    return mul(a, inv(b))
+
+
 def powi(a: LCNumber, k: int) -> LCNumber:
     """Integer power by repeated squaring; negative k routes through inv()."""
     if k < 0:
         return powi(inv(a), -k)
-    if k == 0:
-        return one(a.config)
-    if k == 1:
-        return a
-    if k == 2:
-        return mul(a, a)
-    return _by_squaring(a, k, mul)
+    return _by_squaring(a, k, mul) if k else one(a.config)
 
 
 def _by_squaring(a, k: int, times):

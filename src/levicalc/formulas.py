@@ -607,14 +607,11 @@ def _forall_assignments(quants, n, game: _Game):
     produced = 0
     for combo in itertools.islice(itertools.product(*[game.probes[q.stratum] for q in quants]),
                                   max(1, n // 2)):
-        if produced >= n:
-            return
         yield dict(zip(names, combo)), {}
         produced += 1
     rng, draws = game.rng, [(q.var, game.draw[q.stratum]) for q in quants]
-    while produced < n:
+    for _ in range(n - produced):
         yield {name: draw(rng) for name, draw in draws}, {}
-        produced += 1
 
 
 def _witness_candidates(quant, binding, game: _Game):
@@ -648,60 +645,56 @@ def _with_sum(pools, total):
     return [(u, *rest) for i, u in enumerate(pools[0][:total + 1]) for rest in _with_sum(pools[1:], total - i)]
 
 
-def _eval_blocks(game: _Game, blocks, binding, inside_exists, memo=None):
+def _eval_blocks(game: _Game, blocks, binding, inside_exists, batch=None):
     """Recursive game evaluation.  Returns (truth, info) where info carries
     the interesting assignment: a counterexample path for a failing forall,
     or the witness values for a succeeding exists.
 
-    ``memo`` shares the drawn forall batches between the candidates of one
-    existential entry, so every witness candidate is verified against the
-    same sample set, and the sides cached per sample are computed once.
+    Both kinds of block walk a stream of (assignment, scope) pairs and stop
+    at the first whose truth is the block's deciding value: true for an
+    exists, false for a forall.  ``batch`` is the list an existential entry
+    gives the universal block under it, so that every witness candidate is
+    verified against the same drawn forall batch, and the sides cached per
+    sample are computed once.
     """
-    if not blocks:
-        game.evaluations += 1
-        return game.holds(*_bind(binding, game.eps)), {}
-    kind, quants = blocks[0]
-    rest = blocks[1:]
-    if kind == "forall":
-        n = game.cfg.nested_samples if inside_exists else game.cfg.samples
-        if memo is not None:
-            assignments = memo.get(len(blocks))
-            if assignments is None:
-                assignments = memo[len(blocks)] = list(_forall_assignments(quants, n, game))
+    (kind, quants), rest = blocks[0], blocks[1:]
+    exists = kind == "exists"
+    if exists:
+        # Candidates per variable, first distinguished then random; one
+        # variable's are drawn lazily since most searches succeed within the
+        # first few.  Several variables walk their pools jointly by rank sum,
+        # within pool * len(quants) tries.
+        names = [q.var for q in quants]
+        pool = game.cfg.witness_pool
+        if len(quants) == 1:
+            combos = ((u,) for u in itertools.islice(_witness_candidates(quants[0], binding, game), pool))
         else:
-            assignments = _forall_assignments(quants, n, game)
-        descend = _descend(game, rest, binding, inside_exists, memo)
-        for assignment, scope in assignments:
-            ok, info = descend(assignment, scope)
-            if not ok:
-                return False, {**assignment, **info}
-        return True, {}
-    # existential block: search candidates per variable, first distinguished
-    # then random; candidates are drawn lazily since most searches succeed
-    # within the first few.  Several variables walk their pools jointly by
-    # rank sum, within pool * len(quants) tries.
-    names = [q.var for q in quants]
-    pool = game.cfg.witness_pool
-    if len(quants) == 1:
-        combos = ((u,) for u in itertools.islice(_witness_candidates(quants[0], binding, game), pool))
+            pools = [list(itertools.islice(_witness_candidates(q, binding, game), pool)) for q in quants]
+            combos = itertools.islice(_diagonals(pools), pool * len(quants))
+        pairs = ((dict(zip(names, combo)), {}) for combo in combos)
     else:
-        pools = [list(itertools.islice(_witness_candidates(q, binding, game), pool)) for q in quants]
-        combos = itertools.islice(_diagonals(pools), pool * len(quants))
-    descend = _descend(game, rest, binding, True, {})
-    for combo in combos:
-        assignment = dict(zip(names, combo))
-        ok, info = descend(assignment, {})
-        if ok:
-            return True, {**assignment, **info}
-    return False, {}
+        n = game.cfg.nested_samples if inside_exists else game.cfg.samples
+        pairs = _forall_assignments(quants, n, game)
+        if batch is not None:
+            if not batch:
+                batch.extend(pairs)
+            pairs = batch
+    descend = _descend(game, rest, binding, inside_exists or exists, [] if exists else None)
+    for assignment, scope in pairs:
+        truth, info = descend(assignment, scope)
+        if truth == exists:
+            return truth, {**assignment, **info}
+    return not exists, {}
 
 
-def _descend(game: _Game, rest, binding, inside_exists, memo):
+def _descend(game: _Game, rest, binding, inside_exists, batch=None):
     """The evaluation of the blocks after the current one, as a function of
     an assignment of the current block made under ``binding`` and the
-    assignment's scope."""
+    assignment's scope.  With no blocks left it evaluates the matrix; a
+    formula without quantifiers is that one evaluation, of the empty
+    assignment."""
     if rest:
-        return lambda assignment, scope: _eval_blocks(game, rest, {**binding, **assignment}, inside_exists, memo)
+        return lambda assignment, scope: _eval_blocks(game, rest, {**binding, **assignment}, inside_exists, batch)
     # The innermost block: a new outer binding, so the outer scope is
     # emptied, and its eps entry and real projection are built once for
     # the whole loop.  ``binding`` itself stays free of eps, since the
@@ -739,7 +732,7 @@ def check(formula: Formula, cfg: "SamplerConfig | None" = None,
     cfg = cfg or SamplerConfig()
     game = _Game(formula, cfg, config)
     blocks = game.blocks
-    truth, info = _eval_blocks(game, blocks, {}, False)
+    truth, info = _descend(game, blocks, {}, False)({}, {})
 
     has_exists = any(kind == "exists" for kind, _ in blocks)
     root_exists = bool(blocks) and blocks[0][0] == "exists"
@@ -749,7 +742,7 @@ def check(formula: Formula, cfg: "SamplerConfig | None" = None,
             report.verdict = "witness-found"
             report.witness = info
     else:
-        if root_exists or has_exists:
+        if has_exists:
             report.verdict = "witness-not-found"
             if info:
                 report.assignment = info

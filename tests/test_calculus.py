@@ -363,6 +363,27 @@ def test_evt_trace_converges():
     assert r.H_final == r.refinement_trace[-1][0]
 
 
+@pytest.mark.parametrize("tol_x", [0.0, 1e-15])
+def test_evt_stops_when_the_window_collapses(tol_x):
+    # With a tolerance at or below the spacing of floats near the argmax,
+    # the zoom shrinks the window to a single float and stops there.  In
+    # floats sin(x) is 1.0 for every x within 2^-26 of pi/2, and the
+    # smallest argmax index is taken, so the argmax is a point of that
+    # plateau, not pi/2 to the last bit.
+    r = evt_max(f("sin(x)"), 0.0, 3.0, tol_x=tol_x)
+    assert math.sin(r.argmax) == r.max_value == 1.0
+    assert abs(r.argmax - math.pi / 2) <= 2.0 ** -26
+    assert r.refinement_trace[-1][2] == r.argmax
+    assert r.H_final == r.refinement_trace[-1][0]
+
+
+@pytest.mark.parametrize("kwargs", [{"grid": 0}, {"max_rounds": 0}, {"tol_x": -1.0}, {"b": 5e-324}])
+def test_evt_rejects_out_of_range_arguments(kwargs):
+    # [0, 5e-324] is a < b, but its 1000 cells have zero width in floats
+    with pytest.raises(ValueError):
+        evt_max(f("sin(x)"), **{"a": 0.0, "b": 3.0, **kwargs})
+
+
 def test_evt_not_finite():
     with pytest.raises(NotFinite):
         evt_max(f("exp(800 - x^2)"), -30.0, 30.0)

@@ -192,7 +192,11 @@ def test_bad_config_file(tmp_path, capsys):
     ["mvt-theta", "x", "--x", "0", "--h", "0"],
     ["evt-max", "x", "--a", "1", "--b", "0"],
     ["transfer-check", f"{FORMULAS}/falsified.fof", "--samples", "0"],
-], ids=["depth-0", "eq-tol-below-zero-tol", "config-samples-abc", "mvt-h-0", "evt-empty", "samples-0"])
+    ["evt-max", "sin(x)", "--a", "0", "--b", "3", "--grid", "0"],
+    ["evt-max", "sin(x)", "--a", "0", "--b", "3", "--rounds", "0"],
+    ["evt-max", "sin(x)", "--a", "0", "--b", "3", "--tol-x", "-1"],
+], ids=["depth-0", "eq-tol-below-zero-tol", "config-samples-abc", "mvt-h-0", "evt-empty", "samples-0",
+        "evt-grid-0", "evt-rounds-0", "evt-tol-x-negative"])
 def test_bad_values_are_one_line_errors(tmp_path, capsys, argv):
     cfg = tmp_path / "samples.conf"
     cfg.write_text("samples = abc\n")

@@ -575,6 +575,58 @@ def test_comparison_with_a_non_number_is_not_implemented():
             op("x", u)
 
 
+# Each arithmetic operator with the field function it stands for.
+_ARITHMETIC_OPERATORS = [(operator.add, field.add), (operator.sub, field.sub), (operator.mul, mul),
+                         (operator.truediv, lambda a, b: mul(a, inv(b)))]
+
+
+@given(lc_values(allow_zero=False), lc_values(allow_zero=False),
+       st.sampled_from([3, -2, 0.375, -1.5, Fraction(2, 3), Fraction(-5, 4)]))
+def test_arithmetic_operators_agree_with_the_field_functions(a, b, x):
+    # a scalar on the left goes through the reflected operator
+    s = real(x)
+    for op, fn in _ARITHMETIC_OPERATORS:
+        assert op(a, b).terms == fn(a, b).terms, (op, a, b)
+        assert op(a, x).terms == fn(a, s).terms, (op, a, x)
+        assert op(x, a).terms == fn(s, a).terms, (op, x, a)
+    assert (-a).terms == field.neg(a).terms
+    assert +a is a
+    assert abs(a).terms == (a if a.leading_coefficient > 0 else field.neg(a)).terms
+
+
+def test_arithmetic_with_a_non_number_or_another_config_fails():
+    u, other = 1 + E, eps(FieldConfig(depth=5))
+    for op, _ in _ARITHMETIC_OPERATORS:
+        assert getattr(u, f"__{op.__name__}__")("x") is NotImplemented
+        with pytest.raises(TypeError):
+            op(u, "x")
+        with pytest.raises(TypeError):
+            op("x", u)
+        with pytest.raises(ValueError):
+            op(u, other)
+        with pytest.raises(ValueError):
+            op(other, u)
+    with pytest.raises(ValueError):
+        u < other
+    with pytest.raises(TypeError):
+        u ** 0.5
+
+
+@given(lc_values(allow_zero=False))
+def test_powi_squares_from_the_low_bit(a):
+    # k >= 1 multiplies in the powers a, a^2, a^4, ... of k's set bits, low
+    # bits first; k < 0 raises 1/a to -k; k = 0 is one.
+    for base, sign in ((a, 1), (inv(a), -1)):
+        a2 = mul(base, base)
+        a4 = mul(a2, a2)
+        expected = {1: base, 2: a2, 3: mul(base, a2), 4: a4, 5: mul(base, a4)}
+        for k, value in expected.items():
+            assert field.powi(a, sign * k).terms == value.terms, (a, sign * k)
+            assert (a ** (sign * k)).terms == value.terms
+    assert field.powi(a, 0).terms == one().terms
+    assert field.powi(a, 1) is a
+
+
 @given(lc_values(), lc_values())
 def test_standard_part_additive_for_finite(a, b):
     def finite(u):
