@@ -99,6 +99,56 @@ def test_render_round_trip():
         assert parse_expr(render_expr(tree)) == tree
 
 
+_OPS = {"+": Add, "-": Sub, "*": Mul, "/": Div}
+
+
+# Every pair of binary operators, nested to the left, (a o2 b) o1 c, and to
+# the right, a o1 (b o2 c), over operands that are a negation, a power and
+# a negative constant.
+@pytest.mark.parametrize("o1, o2, left_text, right_text", [
+    ("+", "+", "-x + y^2 + -2", "-x + (y^2 + -2)"),
+    ("+", "-", "-x - y^2 + -2", "-x + (y^2 - -2)"),
+    ("+", "*", "-x * y^2 + -2", "-x + y^2 * (-2)"),
+    ("+", "/", "-x / y^2 + -2", "-x + y^2 / (-2)"),
+    ("-", "+", "-x + y^2 - -2", "-x - (y^2 + -2)"),
+    ("-", "-", "-x - y^2 - -2", "-x - (y^2 - -2)"),
+    ("-", "*", "-x * y^2 - -2", "-x - y^2 * (-2)"),
+    ("-", "/", "-x / y^2 - -2", "-x - y^2 / (-2)"),
+    ("*", "+", "(-x + y^2) * (-2)", "-x * (y^2 + -2)"),
+    ("*", "-", "(-x - y^2) * (-2)", "-x * (y^2 - -2)"),
+    ("*", "*", "-x * y^2 * (-2)", "-x * (y^2 * (-2))"),
+    ("*", "/", "-x / y^2 * (-2)", "-x * (y^2 / (-2))"),
+    ("/", "+", "(-x + y^2) / (-2)", "-x / (y^2 + -2)"),
+    ("/", "-", "(-x - y^2) / (-2)", "-x / (y^2 - -2)"),
+    ("/", "*", "-x * y^2 / (-2)", "-x / (y^2 * (-2))"),
+    ("/", "/", "-x / y^2 / (-2)", "-x / (y^2 / (-2))"),
+])
+def test_operator_pairs_render_and_reparse(o1, o2, left_text, right_text):
+    a, b, c = Neg(Var("x")), Pow(Var("y"), 2), Const(-2.0)
+    outer, inner = _OPS[o1], _OPS[o2]
+    for tree, text in ((outer(inner(a, b), c), left_text), (outer(a, inner(b, c)), right_text)):
+        assert render_expr(tree) == text
+        assert parse_expr(text) == tree
+
+
+@pytest.mark.parametrize("src, message", [
+    ("x +", "1:4: expected an expression, got end of input"),
+    ("x * / y", "1:5: expected an expression, got '/'"),
+    ("x + * y", "1:5: expected an expression, got '*'"),
+    ("x */ y", "1:4: expected an expression, got '/'"),
+    ("x - - ", "1:7: expected an expression, got end of input"),
+    ("(x", "1:3: expected ')', got end of input"),
+    ("x y", "1:3: unexpected trailing input 'y'"),
+    ("", "1:1: expected an expression, got end of input"),
+    (")", "1:1: expected an expression, got ')'"),
+    ("2 ^ x", "1:5: expected an integer exponent, got 'x'"),
+])
+def test_malformed_expression_messages(src, message):
+    with pytest.raises(ParseError) as e:
+        parse_expr(src)
+    assert str(e.value) == message
+
+
 def test_free_variables():
     assert free_variables(parse_expr("x*y + sin(z)")) == {"x", "y", "z"}
     assert free_variables(parse_expr("3 + 4")) == set()

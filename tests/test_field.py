@@ -678,6 +678,30 @@ def test_parse_lc_errors():
         parse_lc("eps^(1/0)")
 
 
+@pytest.mark.parametrize("src, terms", [
+    ("--1", ((0, 1.0),)),
+    ("- - -2", ((0, -2.0),)),
+    ("1 - -eps", ((0, 1.0), (1, 1.0))),
+    ("1 + - - eps", ((0, 1.0), (1, 1.0))),
+    ("1 - - - eps^2", ((0, 1.0), (2, -1.0))),
+])
+def test_parse_lc_sign_runs(src, terms):
+    assert parse_lc(src).terms == terms
+
+
+@pytest.mark.parametrize("src, message", [
+    ("1 + + 2", "1:5: expected a term, got '+'"),
+    ("", "1:1: empty series literal"),
+    ("1 2", "1:3: expected '+' or '-', got '2'"),
+    ("-", "1:2: expected a term, got end of input"),
+    ("1 -", "1:4: expected a term, got end of input"),
+])
+def test_parse_lc_sign_errors(src, message):
+    with pytest.raises(ParseError) as e:
+        parse_lc(src)
+    assert str(e.value) == message
+
+
 def test_config_validation():
     with pytest.raises(ValueError):
         FieldConfig(depth=0)

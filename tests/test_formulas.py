@@ -111,6 +111,56 @@ def test_formula_file_lines_and_comments():
     assert "line 2" in str(e.value)
 
 
+# Every pair of binary connectives without parentheses: "=>" groups to the
+# right, "or" and "and" to the left, and "and" binds tightest.
+@pytest.mark.parametrize("src, shape", [
+    ("0 < 1 => 1 < 2 => 2 < 3", "Implies(p, Implies(q, r))"),
+    ("0 < 1 => 1 < 2 or 2 < 3", "Implies(p, Or(q, r))"),
+    ("0 < 1 => 1 < 2 and 2 < 3", "Implies(p, And(q, r))"),
+    ("0 < 1 or 1 < 2 => 2 < 3", "Implies(Or(p, q), r)"),
+    ("0 < 1 or 1 < 2 or 2 < 3", "Or(Or(p, q), r)"),
+    ("0 < 1 or 1 < 2 and 2 < 3", "Or(p, And(q, r))"),
+    ("0 < 1 and 1 < 2 => 2 < 3", "Implies(And(p, q), r)"),
+    ("0 < 1 and 1 < 2 or 2 < 3", "Or(And(p, q), r)"),
+    ("0 < 1 and 1 < 2 and 2 < 3", "And(And(p, q), r)"),
+    ("not not 0 < 1 and 1 < 2", "And(Not(Not(p)), q)"),
+    ("0 < 1 or not 1 < 2 and 2 < 3", "Or(p, And(Not(q), r))"),
+])
+def test_connective_pairs_group_by_precedence(src, shape):
+    def show(node):
+        if isinstance(node, Atom):
+            return "pqr"[int(node.left.value)]
+        if isinstance(node, Not):
+            return f"Not({show(node.operand)})"
+        return f"{type(node).__name__}({show(node.left)}, {show(node.right)})"
+
+    assert show(parse_formula(src).matrix) == shape
+
+
+@pytest.mark.parametrize("src, message", [
+    ("0 < 1 and", "1:10: expected an expression, got end of input"),
+    ("0 < 1 =>", "1:9: expected an expression, got end of input"),
+    ("0 < 1 and => 1 < 2", "1:11: expected an expression, got '=>'"),
+    ("0 < 1 or or 1 < 2", "1:13: expected a comparison operator after the term"),
+    ("not", "1:4: expected an expression, got end of input"),
+    ("(0 < 1", "1:7: expected ')', got end of input"),
+    ("0 < 1 1 < 2", "1:7: unexpected trailing input '1'"),
+    ("forall x: positive-imag. x = x", "1:19: expected ',' or '.' after quantifier, got '-'"),
+    ("forall x: positive - 1. x = x", "1:20: expected ',' or '.' after quantifier, got '-'"),
+    ("forall x: positive -", "1:20: expected ',' or '.' after quantifier, got '-'"),
+    ("forall x: real - real. x = x", "1:16: expected ',' or '.' after quantifier, got '-'"),
+])
+def test_malformed_formula_messages(src, message):
+    with pytest.raises(ParseError) as e:
+        parse_formula(src)
+    assert str(e.value) == message
+
+
+def test_positive_real_may_be_spaced():
+    for src in ("forall x: positive - real. x = x", "forall x: positive-real. x = x"):
+        assert parse_formula(src).prefix == (Quantifier("forall", "x", "positive-real"),)
+
+
 # -- render round trip -----------------------------------------------------------
 
 
@@ -304,6 +354,29 @@ def test_sample_specific_contracts():
         assert v.is_real and not v.is_zero
         w = sample("infinite", cfg, rng)
         assert field.compare(abs(w), field.LCNumber.from_real(1e9)) == field.GREATER
+
+
+# Which strata hold each probe value; every stratum holds exactly these.
+_MEMBERS = {
+    "0": {"real", "finite", "any"},
+    "1": {"real", "positive-real", "positive", "finite", "any"},
+    "-1": {"real", "finite", "any"},
+    "eps": {"infinitesimal", "positive", "finite", "any"},
+    "-eps": {"infinitesimal", "finite", "any"},
+    "1/eps": {"positive", "infinite", "any"},
+    "-1/eps": {"infinite", "any"},
+    "1 + eps": {"positive", "finite", "any"},
+    "-1 + eps": {"finite", "any"},
+}
+
+
+@pytest.mark.parametrize("text", list(_MEMBERS))
+def test_stratum_contains_truth_table(text):
+    u = field.parse_lc(text.replace("1/eps", "eps^-1"))
+    assert {s for s in STRATA if stratum_contains(u, s)} == _MEMBERS[text]
+    if not u.is_zero:
+        with pytest.raises(ValueError):
+            stratum_contains(u, "bogus")
 
 
 # -- checking -----------------------------------------------------------------------
