@@ -506,9 +506,7 @@ def taylor_remainder_check_infinitesimal(f: Expr, a: float, var: "str | None" = 
     to exponent m + 2 with weight 1/((m+1)(m+2)).
     """
     var = _the_var(f, var)
-    epsilon = field.eps(config)
-    a_lc = LCNumber.from_real(a, config)
-    lhs = eval_hyper(f, {var: field.add(a_lc, epsilon)}, config)
+    lhs = _jet_at(f, a, var, config)
 
     fpp = symbolic_derivative(symbolic_derivative(f, var), var)
     jet2 = _jet_at(fpp, a, var, config, _sharing_plan(fpp))

@@ -147,10 +147,6 @@ def _emit(payload, fmt: str, text: str) -> None:
         print(text)
 
 
-def _fmt_float(x: float) -> str:
-    return field._fmt_scalar(float(x))
-
-
 def _cmd_eval(args, config, fmt) -> int:
     binding = {"eps": field.eps(config)}
     for item in args.at:
@@ -165,13 +161,13 @@ def _cmd_eval(args, config, fmt) -> int:
 
 def _cmd_st(args, config, fmt) -> int:
     result = field.standard_part(field.parse_lc(args.value, config))
-    _emit(result, fmt, _fmt_float(result))
+    _emit(result, fmt, field._fmt_scalar(result))
     return 0
 
 
 def _cmd_derive(args, config, fmt) -> int:
     result = calculus.derivative(parse_expr(args.expr), args.x0, args.order, config=config)
-    _emit(result, fmt, _fmt_float(result))
+    _emit(result, fmt, field._fmt_scalar(result))
     return 0
 
 
@@ -179,12 +175,11 @@ def _cmd_mvt_theta(args, config, fmt) -> int:
     f = parse_expr(args.expr)
     if args.h is not None:
         result = calculus.mvt_theta_real(f, args.x, args.h, config=config)
-        text = f"theta = {_fmt_float(result.theta)}\nresidual = {_fmt_float(result.residual)}"
+        text = f"theta = {field._fmt_scalar(result.theta)}\nresidual = {field._fmt_scalar(result.residual)}"
     else:
-        literal = args.h_infinitesimal
-        h = field.eps(config) if literal == "eps" else field.parse_lc(literal, config)
+        h = field.parse_lc(args.h_infinitesimal, config)
         result = calculus.mvt_theta_infinitesimal(f, args.x, h, config=config)
-        text = f"theta = {result.theta}\nresidual_norm = {_fmt_float(result.residual_norm)}"
+        text = f"theta = {result.theta}\nresidual_norm = {field._fmt_scalar(result.residual_norm)}"
     text += f"\nleading_order = {result.leading_order}\ndegenerate = {str(result.degenerate).lower()}"
     _emit(result.to_json(), fmt, text)
     return 0
@@ -193,8 +188,8 @@ def _cmd_mvt_theta(args, config, fmt) -> int:
 def _cmd_evt_max(args, config, fmt) -> int:
     result = calculus.evt_max(parse_expr(args.expr), args.a, args.b,
                               grid=args.grid, max_rounds=args.rounds, tol_x=args.tol_x)
-    text = (f"c = {_fmt_float(result.argmax)}\n"
-            f"max = {_fmt_float(result.max_value)}\n"
+    text = (f"c = {field._fmt_scalar(result.argmax)}\n"
+            f"max = {field._fmt_scalar(result.max_value)}\n"
             f"H = {result.H_final} ({len(result.refinement_trace)} refinement rounds)")
     _emit(result.to_json(), fmt, text)
     return 0
@@ -203,8 +198,8 @@ def _cmd_evt_max(args, config, fmt) -> int:
 def _cmd_integrate(args, config, fmt) -> int:
     result = calculus.riemann_integral(parse_expr(args.expr), args.a, args.b,
                                        schedule=_parse_schedule(args.schedule))
-    text = (f"integral = {_fmt_float(result.value)}\n"
-            f"error estimate = {_fmt_float(result.error)}\n"
+    text = (f"integral = {field._fmt_scalar(result.value)}\n"
+            f"error estimate = {field._fmt_scalar(result.error)}\n"
             f"H = {', '.join(map(str, result.H_schedule))}")
     _emit(result.to_json(), fmt, text)
     return 0
@@ -216,14 +211,14 @@ def _cmd_taylor_check(args, config, fmt) -> int:
         residual = calculus.taylor_remainder_check_infinitesimal(f, args.a, config=config)
         norm = field.coefficient_norm(residual)
         payload = {"residual": field.to_json(residual), "norm": norm}
-        text = f"residual = {residual}\nnorm = {_fmt_float(norm)}"
+        text = f"residual = {residual}\nnorm = {field._fmt_scalar(norm)}"
     else:
         if args.b is None:
             raise LevicalcError("taylor-check needs --b (or --infinitesimal)")
         value = calculus.taylor_remainder_check(f, args.a, args.b,
                                                 schedule=_parse_schedule(args.schedule), config=config)
         payload = {"residual": value}
-        text = f"residual = {_fmt_float(value)}"
+        text = f"residual = {field._fmt_scalar(value)}"
     _emit(payload, fmt, text)
     return 0
 

@@ -118,6 +118,12 @@ def free_variables(e: Expr) -> set:
 
 # -- parsing -----------------------------------------------------------------
 
+# Precedence and symbol of each binary operator, read by the parser (as
+# _INFIX) and by render_expr; all of them group to the left.  Unary minus
+# binds at 2 and "^" at 3.
+_BINARY = {Add: (1, "+"), Sub: (1, "-"), Mul: (2, "*"), Div: (2, "/")}
+_INFIX = {op: (prec, node) for node, (prec, op) in _BINARY.items()}
+
 
 def parse_expr(src: str) -> Expr:
     """Parse an expression; raises ParseError with a 1-based position."""
@@ -129,27 +135,17 @@ def parse_expr(src: str) -> Expr:
     return e
 
 
-def parse_expr_tokens(stream: TokenStream) -> Expr:
-    """Expression parser over an existing token stream (used by the formula DSL)."""
-    e = _parse_term(stream)
-    while True:
-        if stream.match("+"):
-            e = Add(e, _parse_term(stream))
-        elif stream.match("-"):
-            e = Sub(e, _parse_term(stream))
-        else:
-            return e
-
-
-def _parse_term(stream: TokenStream) -> Expr:
+def parse_expr_tokens(stream: TokenStream, _min_prec: int = 1) -> Expr:
+    """Expression parser over an existing token stream (used by the formula
+    DSL).  Binary operators come from _INFIX; each groups to the left, so its
+    right operand is parsed one level up."""
     e = _parse_unary(stream)
     while True:
-        if stream.match("*"):
-            e = Mul(e, _parse_unary(stream))
-        elif stream.match("/"):
-            e = Div(e, _parse_unary(stream))
-        else:
+        prec, node = _INFIX.get(stream.peek().kind, (0, None))
+        if prec < _min_prec:
             return e
+        stream.next()
+        e = node(e, parse_expr_tokens(stream, prec + 1))
 
 
 def _parse_unary(stream: TokenStream) -> Expr:
@@ -198,10 +194,6 @@ def _parse_atom(stream: TokenStream) -> Expr:
 
 
 # -- rendering ---------------------------------------------------------------
-
-# Precedence and symbol of each binary operator; all of them group to the
-# left.  Unary minus binds at 2 and "^" at 3.
-_BINARY = {Add: (1, "+"), Sub: (1, "-"), Mul: (2, "*"), Div: (2, "/")}
 
 
 def render_expr(e: Expr, min_prec: int = 0) -> str:

@@ -665,27 +665,20 @@ def format_lc(u: LCNumber) -> str:
 
 
 def parse_lc(text: str, config: FieldConfig = DEFAULT_CONFIG) -> LCNumber:
-    """Parse the text rendering of a field element."""
+    """Parse the text rendering of a field element: terms joined by '+' or
+    '-', each read after its run of '-' signs (a joining '-' is the run's
+    first)."""
     stream = TokenStream(tokenize(text))
-    terms = []
-    first = True
-    while stream.peek().kind != "end":
-        sign = 1.0
-        if first:
-            while stream.match("-"):
-                sign = -sign
-            first = False
-        else:
-            tok = stream.next()
-            if tok.kind == "-":
-                sign = -1.0
-            elif tok.kind != "+":
-                raise ParseError(f"expected '+' or '-', got '{tok.text}'", tok.line, tok.col)
-            while stream.match("-"):
-                sign = -sign
-        terms.append(_parse_lc_term(stream, sign))
-    if first:
+    if stream.peek().kind == "end":
         raise ParseError("empty series literal")
+    terms = []
+    while (tok := stream.peek()).kind != "end":
+        if terms and not stream.match("+") and tok.kind != "-":
+            raise ParseError(f"expected '+' or '-', got '{tok.text}'", tok.line, tok.col)
+        sign = 1.0
+        while stream.match("-"):
+            sign = -sign
+        terms.append(_parse_lc_term(stream, sign))
     return LCNumber(terms, config)
 
 

@@ -84,6 +84,12 @@ class Formula:
 
 # -- parsing -----------------------------------------------------------------
 
+# Precedence and keyword of each binary connective, read by the parser (as
+# _JOINS) and by _render_matrix: "=>" groups to the right, "or" and "and" to
+# the left.  "not" binds at 4, above all of them.
+_CONNECTIVES = {Implies: (1, "=>"), Or: (2, "or"), And: (3, "and")}
+_JOINS = {word: (prec, node) for node, (prec, word) in _CONNECTIVES.items()}
+
 
 def parse_formula(src: str) -> Formula:
     stream = TokenStream(tokenize(src))
@@ -123,41 +129,25 @@ def _parse_quantifier(stream: TokenStream) -> Quantifier:
 def _parse_stratum(stream: TokenStream) -> str:
     tok = stream.expect("ident", "a stratum name")
     name = tok.text
-    if name == "positive" and stream.peek().kind == "-":
-        save = stream.pos
-        stream.next()
-        nxt = stream.peek()
-        if nxt.kind == "ident" and nxt.text == "real":
-            stream.next()
-            name = "positive-real"
-        else:
-            stream.pos = save
+    if name == "positive" and [t.text for t in stream.tokens[stream.pos:stream.pos + 2]] == ["-", "real"]:
+        stream.pos += 2
+        name = "positive-real"
     if name not in STRATA:
         raise ParseError(f"unknown stratum '{name}'", tok.line, tok.col)
     return name
 
 
-def _parse_matrix(stream: TokenStream):
-    left = _parse_disjunction(stream)
-    if stream.match("=>"):
-        return Implies(left, _parse_matrix(stream))
-    return left
-
-
-def _parse_disjunction(stream: TokenStream):
-    node = _parse_conjunction(stream)
-    while stream.peek().kind == "ident" and stream.peek().text == "or":
-        stream.next()
-        node = Or(node, _parse_conjunction(stream))
-    return node
-
-
-def _parse_conjunction(stream: TokenStream):
+def _parse_matrix(stream: TokenStream, min_prec: int = 1):
+    """Connectives by precedence climbing over _JOINS: "=>" groups to the
+    right, so its right operand is parsed at its own precedence; "or" and
+    "and" group to the left and parse it one level up."""
     node = _parse_atomf(stream)
-    while stream.peek().kind == "ident" and stream.peek().text == "and":
+    while True:
+        prec, join = _JOINS.get(stream.peek().text, (0, None))
+        if prec < min_prec:
+            return node
         stream.next()
-        node = And(node, _parse_atomf(stream))
-    return node
+        node = join(node, _parse_matrix(stream, prec + (join is not Implies)))
 
 
 def _parse_atomf(stream: TokenStream):
@@ -219,11 +209,6 @@ def render_formula(formula: Formula) -> str:
         parts.append(piece)
     head = ", ".join(parts) + ". " if parts else ""
     return head + _render_matrix(formula.matrix)
-
-
-# Precedence and keyword of each binary connective: "=>" groups to the
-# right, "or" and "and" to the left.  "not" binds at 4, above all of them.
-_CONNECTIVES = {Implies: (1, "=>"), Or: (2, "or"), And: (3, "and")}
 
 
 def _render_matrix(node, min_prec: int = 0) -> str:
@@ -380,6 +365,21 @@ _STRATUM_SHAPES = {
 }
 
 
+_C = Classification
+# The classifications each stratum holds; a stratum in _POSITIVE holds only
+# the values among them with a positive leading coefficient.
+_STRATUM_KINDS = {
+    "real": {_C.ZERO, _C.APPRECIABLE},
+    "positive-real": {_C.APPRECIABLE},
+    "infinitesimal": {_C.INFINITESIMAL},
+    "infinite": {_C.INFINITE},
+    "finite": {_C.ZERO, _C.INFINITESIMAL, _C.APPRECIABLE, _C.FINITE_WITH_INFINITESIMAL_PART},
+    "positive": {_C.INFINITESIMAL, _C.APPRECIABLE, _C.FINITE_WITH_INFINITESIMAL_PART, _C.INFINITE},
+    "any": set(Classification),
+}
+_POSITIVE = {"positive", "positive-real"}
+
+
 def _drawer(stratum: str, cfg: SamplerConfig, config: FieldConfig):
     """A function of the RNG that draws one element of ``stratum``, with the
     stratum's shapes, cumulative weights and sign resolved once.  Its RNG
@@ -388,7 +388,7 @@ def _drawer(stratum: str, cfg: SamplerConfig, config: FieldConfig):
     if stratum not in STRATA:
         raise ValueError(f"unknown stratum '{stratum}'")
     shapes = _STRATUM_SHAPES[stratum]
-    positive = stratum in ("positive", "positive-real")
+    positive = stratum in _POSITIVE
     if len(shapes) == 1:
         return partial(_sample_shape, shapes[0], cfg=cfg, config=config, positive=positive)
     cum_weights = list(itertools.accumulate(cfg.weights.get(s, 1.0) for s in shapes))
@@ -403,24 +403,10 @@ def sample(stratum: str, cfg: "SamplerConfig | None" = None, rng: "random.Random
 
 
 def stratum_contains(u: LCNumber, stratum: str) -> bool:
-    if stratum == "any":
-        return True
-    if u.is_zero:
-        return stratum in ("real", "finite")
-    kind = field.classify(u)
-    if stratum == "real":
-        return u.is_real
-    if stratum == "positive-real":
-        return u.is_real and u.leading_coefficient > 0
-    if stratum == "infinitesimal":
-        return kind is Classification.INFINITESIMAL
-    if stratum == "infinite":
-        return kind is Classification.INFINITE
-    if stratum == "finite":
-        return kind is not Classification.INFINITE
-    if stratum == "positive":
-        return u.leading_coefficient > 0
-    raise ValueError(f"unknown stratum '{stratum}'")
+    kinds = _STRATUM_KINDS.get(stratum)
+    if kinds is None:
+        raise ValueError(f"unknown stratum '{stratum}'")
+    return field.classify(u) in kinds and (stratum not in _POSITIVE or u.leading_coefficient > 0)
 
 
 def _coverage_values(stratum: str, config: FieldConfig) -> list:
