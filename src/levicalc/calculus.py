@@ -111,6 +111,12 @@ def _the_var(f: Expr, var: "str | None") -> str:
     return names.pop() if names else "x"
 
 
+def _require_finite(names: str, *values: float) -> None:
+    """ValueError, before any grid is built, unless every value is finite."""
+    if not all(map(math.isfinite, values)):
+        raise ValueError(f"{names} must be finite, got {', '.join(map(repr, values))}")
+
+
 def _jet_at(f: Expr, x0: float, var: str, config: FieldConfig, plan: "dict | None" = None) -> LCNumber:
     point = LCNumber([(0, x0), (1, 1.0)], config)
     return eval_hyper(f, {var: point}, config, plan)
@@ -118,7 +124,8 @@ def _jet_at(f: Expr, x0: float, var: str, config: FieldConfig, plan: "dict | Non
 
 def derivative(f: Expr, x0: float, order: int = 1, var: "str | None" = None,
                config: FieldConfig = DEFAULT_CONFIG) -> float:
-    """k-th derivative at x0: k! times the eps^k jet coefficient."""
+    """k-th derivative at a finite x0: k! times the eps^k jet coefficient."""
+    _require_finite("x0", x0)
     if order < 1:
         raise ValueError("derivative order must be >= 1")
     if order > config.depth:
@@ -352,8 +359,10 @@ def evt_max(f: Expr, a: float, b: float, grid: int = 1000, max_rounds: int = 40,
     argmax).  The trace records, per round, the partition size H relative
     to the original interval together with i0 and x_i0; its limit plays the
     role of the shadow of the argmax point.  grid and max_rounds must be at
-    least 1, tol_x at least 0, and a < b with cells of nonzero width.
+    least 1, tol_x at least 0, a, b and b - a finite, and a < b with cells
+    of nonzero width.
     """
+    _require_finite("a, b and b - a", a, b, b - a)
     if grid < 1 or max_rounds < 1:
         raise ValueError("grid and max_rounds must be >= 1")
     if not tol_x >= 0:
@@ -401,8 +410,8 @@ def riemann_integral(f: Expr, a: float, b: float,
     diagonal entries agree within 1e-12 times the current grid's sum of
     w*|f|; otherwise it runs to the end of the schedule.  ``value`` is the
     last diagonal entry, ``error`` its distance from the one before, and
-    ``sums`` and ``H_schedule`` hold only the grids used.  The schedule must
-    be strictly increasing integers >= 1.
+    ``sums`` and ``H_schedule`` hold only the grids used.  a, b and b - a
+    must be finite, and the schedule strictly increasing integers >= 1.
 
     Each grid is evaluated as one array, and an inf or nan on it raises
     NotFinite.  The first walk evaluates the largest of the first four
@@ -415,6 +424,7 @@ def riemann_integral(f: Expr, a: float, b: float,
     grid nests into it (as in the default schedule), otherwise on the first
     grid, in schedule order, that fails.
     """
+    _require_finite("a, b and b - a", a, b, b - a)
     if a > b:
         raise ValueError("need a <= b")
     if schedule is None:

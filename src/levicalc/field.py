@@ -53,6 +53,9 @@ class FieldConfig:
     zero_tol   coefficients at or below this magnitude are dropped
     eq_tol     coefficientwise tolerance used by compare() for equality
 
+    The tolerances must satisfy 0 <= zero_tol <= eq_tol < inf (so neither
+    is NaN).
+
     The hash is computed once: configs key the caches of every field-side
     evaluation, so it is taken far more often than a config is made.
     """
@@ -67,10 +70,12 @@ class FieldConfig:
             raise ValueError("depth must be >= 1")
         if self.max_terms < 1:
             raise ValueError("max_terms must be >= 1")
-        if self.zero_tol < 0:
+        if not self.zero_tol >= 0:  # NaN fails every comparison
             raise ValueError("zero_tol must be >= 0")
-        if self.eq_tol < self.zero_tol:
+        if not self.eq_tol >= self.zero_tol:
             raise ValueError("eq_tol must be >= zero_tol")
+        if self.eq_tol == math.inf:
+            raise ValueError("eq_tol must be finite")
         object.__setattr__(self, "_hash", hash((self.depth, self.max_terms, self.zero_tol, self.eq_tol)))
 
     def __hash__(self):
@@ -687,6 +692,8 @@ def _parse_lc_term(stream: TokenStream, sign: float):
     if tok.kind == "number":
         stream.next()
         coef = sign * float(tok.text)
+        if not math.isfinite(coef):
+            raise ParseError(f"'{tok.text}' is not a finite number", tok.line, tok.col)
         if stream.match("*"):
             name = stream.expect("ident", "'eps'")
             if name.text != "eps":

@@ -389,6 +389,29 @@ def test_evt_not_finite():
         evt_max(f("exp(800 - x^2)"), -30.0, 30.0)
 
 
+INF, NAN = math.inf, math.nan
+
+
+@pytest.mark.parametrize("call", [
+    lambda: derivative(f("exp(x)"), NAN),
+    lambda: derivative(f("exp(x)"), INF),
+    lambda: evt_max(f("sin(x)"), 0.0, INF),
+    lambda: evt_max(f("sin(x)"), -INF, 0.0),
+    lambda: evt_max(f("sin(x)"), -1e308, 1e308),
+    lambda: evt_max(f("sin(x)"), 0.0, NAN),
+    lambda: riemann_integral(f("sin(x)"), 0.0, INF),
+    lambda: riemann_integral(f("sin(x)"), 0.0, NAN),
+    lambda: riemann_integral(f("sin(x)"), -1e308, 1e308),
+    lambda: riemann_integral(f("sin(x)"), NAN, NAN),
+], ids=["derivative-nan", "derivative-inf", "evt-b-inf", "evt-a-inf", "evt-width-overflows", "evt-b-nan",
+        "integral-b-inf", "integral-b-nan", "integral-width-overflows", "integral-nan-nan"])
+def test_calculus_takes_finite_real_arguments(call, monkeypatch):
+    # rejected before any grid is built, so numpy raises no warning either
+    monkeypatch.setattr(calculus, "_on_grid", None)
+    with pytest.raises(ValueError, match="must be finite"):
+        call()
+
+
 # -- integration ---------------------------------------------------------------------
 
 

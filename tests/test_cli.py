@@ -195,11 +195,33 @@ def test_bad_config_file(tmp_path, capsys):
     ["evt-max", "sin(x)", "--a", "0", "--b", "3", "--grid", "0"],
     ["evt-max", "sin(x)", "--a", "0", "--b", "3", "--rounds", "0"],
     ["evt-max", "sin(x)", "--a", "0", "--b", "3", "--tol-x", "-1"],
+    ["--eq-tol", "nan", "transfer-check", f"{FORMULAS}/falsified.fof", "--samples", "20"],
+    ["--eq-tol", "nan", "st", "1"],
+    ["--zero-tol", "nan", "derive", "sin(x)", "--at", "1"],
+    ["--eq-tol", "inf", "st", "1"],
+    ["evt-max", "sin(x)", "--a", "0", "--b", "inf"],
+    ["evt-max", "sin(x)", "--a=-1e308", "--b", "1e308"],
+    ["integrate", "sin(x)", "--a", "0", "--b", "inf"],
+    ["integrate", "sin(x)", "--a", "0", "--b", "nan"],
+    ["derive", "exp(x)", "--at", "nan"],
 ], ids=["depth-0", "eq-tol-below-zero-tol", "config-samples-abc", "mvt-h-0", "evt-empty", "samples-0",
-        "evt-grid-0", "evt-rounds-0", "evt-tol-x-negative"])
+        "evt-grid-0", "evt-rounds-0", "evt-tol-x-negative", "eq-tol-nan-transfer-check", "eq-tol-nan",
+        "zero-tol-nan", "eq-tol-inf", "evt-b-inf", "evt-width-overflows", "integrate-b-inf", "integrate-b-nan",
+        "derive-at-nan"])
 def test_bad_values_are_one_line_errors(tmp_path, capsys, argv):
     cfg = tmp_path / "samples.conf"
     cfg.write_text("samples = abc\n")
     code, out, err = run(capsys, *(arg.replace("{samples_abc}", str(cfg)) for arg in argv))
     assert code == 1 and out == ""
     assert err.startswith("ValueError: ") and err.count("\n") == 1, err
+
+
+@pytest.mark.parametrize("argv, col", [
+    (["st", "1e400"], 1),
+    (["eval", "x - x", "--at", "x=1e400"], 1),
+    (["eval", "x", "--at", "x=1 + 1e400*eps"], 5),
+])
+def test_overflowing_series_literal_is_a_parse_error(capsys, argv, col):
+    code, out, err = run(capsys, *argv)
+    assert code == 1 and out == ""
+    assert err.startswith(f"ParseError: 1:{col}: ") and err.count("\n") == 1, err

@@ -711,6 +711,27 @@ def test_config_validation():
         FieldConfig(max_terms=0)
 
 
+@pytest.mark.parametrize("tols, message", [
+    ({"zero_tol": math.nan}, "zero_tol must be >= 0"),
+    ({"zero_tol": -math.inf}, "zero_tol must be >= 0"),
+    ({"eq_tol": math.nan}, "eq_tol must be >= zero_tol"),
+    ({"zero_tol": math.inf}, "eq_tol must be >= zero_tol"),
+    ({"eq_tol": math.inf}, "eq_tol must be finite"),
+    ({"zero_tol": math.inf, "eq_tol": math.inf}, "eq_tol must be finite"),
+])
+def test_config_rejects_non_finite_tolerances(tols, message):
+    with pytest.raises(ValueError) as e:
+        FieldConfig(**tols)
+    assert str(e.value) == message
+
+
+@pytest.mark.parametrize("src, col", [("1e400", 1), ("1 - 1e400*eps", 5), ("-2e308 + eps", 2)])
+def test_parse_lc_rejects_overflowing_coefficients(src, col):
+    with pytest.raises(ParseError) as e:
+        parse_lc(src)
+    assert (e.value.line, e.value.col) == (1, col) and "is not a finite number" in str(e.value)
+
+
 def test_mixed_configs_rejected():
     other = FieldConfig(depth=5)
     with pytest.raises(ValueError):
