@@ -24,7 +24,7 @@ from __future__ import annotations
 import itertools
 import math
 import random
-from dataclasses import dataclass, field as dc_field
+from dataclasses import dataclass
 from functools import partial
 from typing import Mapping
 
@@ -245,67 +245,41 @@ def parse_formula_file(text: str) -> list:
 # -- sampling -----------------------------------------------------------------
 
 
-def _default_weights() -> dict:
-    return {"real": 1.0, "infinitesimal": 1.0, "infinite": 1.0, "mixed": 1.0}
+# The sampling distribution: the range of exponent-0 (real-part)
+# coefficients; the magnitude bound for the leading coefficient of drawn
+# infinitesimal and infinite elements, whose tail coefficients are further
+# damped below min(|lead|, 1)/2 (keeping series coefficients O(1) keeps
+# inverses and function jets well conditioned, so identities are checked
+# against eq_tol rather than against float-noise blowup); and the largest
+# denominator of drawn exponents.  The shapes of a composite stratum are
+# equally likely.
+_COEF_RANGE = (-10.0, 10.0)
+_SERIES_BOUND = 2.0
+_EXP_DEN_BOUND = 3
 
 
 @dataclass(frozen=True, eq=False)
 class SamplerConfig:
-    """Knobs of the randomized checker.
+    """Budgets and seed of the randomized checker.
 
     samples        draws per universal quantifier block
     witness_pool   random candidates per existential block (after the
                    distinguished ones)
     nested_samples draws for a universal block nested under an existential
                    one (witness verification budget)
-    weights        relative frequency of the basic sample shapes within the
-                   composite strata (any/finite/positive)
-    coef_range     range of exponent-0 (real-part) coefficients
-    series_bound   magnitude bound for the leading coefficient of drawn
-                   infinitesimal and infinite elements; tail coefficients
-                   are further damped below min(|lead|, 1)/2.  Keeping
-                   series coefficients O(1) keeps inverses and function
-                   jets well conditioned, so identities are checked against
-                   eq_tol rather than against float-noise blowup.
-    exp_den_bound  largest denominator of randomly drawn exponents
 
-    The three budgets must be at least 1: a verdict needs evaluations.  The
-    draws must be able to finish: coef_range is finite with lo < hi and
-    reaches past 0.05 in magnitude, series_bound is finite and above 0.05,
-    exp_den_bound is at least 1, and the weights are finite and >= 0 with a
-    positive total over the shapes of "finite" and over those of "any".  A
-    weights key that names no shape is rejected, not ignored.
+    The three budgets must be at least 1: a verdict needs evaluations.
     """
 
     samples: int = 1000
     witness_pool: int = 200
     nested_samples: int = 60
-    weights: Mapping[str, float] = dc_field(default_factory=_default_weights)
-    coef_range: tuple = (-10.0, 10.0)
-    series_bound: float = 2.0
-    exp_den_bound: int = 3
     seed: int = 0
 
     def __post_init__(self):
         for name in ("samples", "witness_pool", "nested_samples"):
             if getattr(self, name) < 1:
                 raise ValueError(f"{name} must be >= 1")
-        lo, hi = self.coef_range
-        if not (math.isfinite(lo) and math.isfinite(hi) and lo < hi and max(-lo, hi) > 0.05):
-            raise ValueError("coef_range must be finite with lo < hi and reach past 0.05 in magnitude")
-        if not (math.isfinite(self.series_bound) and self.series_bound > 0.05):
-            raise ValueError("series_bound must be finite and > 0.05")
-        if self.exp_den_bound < 1:
-            raise ValueError("exp_den_bound must be >= 1")
-        shapes = _default_weights()
-        for key in self.weights:
-            if key not in shapes:
-                raise ValueError(f"weights: {key!r} names no shape; the shapes are {sorted(shapes)}")
-        if not all(math.isfinite(w) and w >= 0 for w in self.weights.values()) or not all(
-                sum(self.weights.get(s, 1.0) for s in _STRATUM_SHAPES[stratum]) > 0
-                for stratum in ("finite", "any")):
-            raise ValueError("weights must be finite and >= 0, with a positive total over the "
-                             "shapes of 'finite' and of 'any'")
 
 
 def _draw_coef(rng: random.Random, lo: float, hi: float, positive: bool) -> float:
@@ -316,19 +290,19 @@ def _draw_coef(rng: random.Random, lo: float, hi: float, positive: bool) -> floa
             return abs(c) if positive else c
 
 
-def _draw_exponent(rng: random.Random, cfg: SamplerConfig) -> tuple:
-    """A positive exponent num/den, den <= exp_den_bound, as (num, den)."""
-    den = rng.randint(1, cfg.exp_den_bound)
+def _draw_exponent(rng: random.Random) -> tuple:
+    """A positive exponent num/den, den <= _EXP_DEN_BOUND, as (num, den)."""
+    den = rng.randint(1, _EXP_DEN_BOUND)
     return rng.randrange(2 * den) + 1, den
 
 
-def _draw_terms(rng, cfg, lead_exp, lead, config):
+def _draw_terms(rng, lead_exp, lead, config):
     """The series with leading order lead_exp = (num, den) and coefficient
     lead, plus up to two drawn higher orders, built on the integer lattice
     1/(den * lcm of the drawn denominators) and normalized as LCNumber is."""
     lead_num, lead_den = lead_exp
     cap = 0.5 * min(abs(lead), 1.0)
-    tail = [(_draw_exponent(rng, cfg), rng.uniform(-cap, cap)) for _ in range(rng.randint(0, 2))]
+    tail = [(_draw_exponent(rng), rng.uniform(-cap, cap)) for _ in range(rng.randint(0, 2))]
     step = math.lcm(*[den for (_, den), _ in tail])
     den, k0 = lead_den * step, lead_num * step
     acc = {k0: lead}
@@ -338,19 +312,18 @@ def _draw_terms(rng, cfg, lead_exp, lead, config):
     return field.from_lattice(den, acc, config)
 
 
-def _sample_shape(shape: str, rng: random.Random, cfg: SamplerConfig,
-                  config: FieldConfig, positive: bool) -> LCNumber:
+def _sample_shape(shape: str, rng: random.Random, config: FieldConfig, positive: bool) -> LCNumber:
     if shape == "real":
-        return LCNumber.from_real(_draw_coef(rng, *cfg.coef_range, positive), config)
+        return LCNumber.from_real(_draw_coef(rng, *_COEF_RANGE, positive), config)
     if shape == "infinitesimal":
-        lead = _draw_coef(rng, -cfg.series_bound, cfg.series_bound, positive)
-        return _draw_terms(rng, cfg, _draw_exponent(rng, cfg), lead, config)
+        lead = _draw_coef(rng, -_SERIES_BOUND, _SERIES_BOUND, positive)
+        return _draw_terms(rng, _draw_exponent(rng), lead, config)
     if shape == "infinite":
-        lead = _draw_coef(rng, -cfg.series_bound, cfg.series_bound, positive)
-        num, den = _draw_exponent(rng, cfg)
-        return _draw_terms(rng, cfg, (-num, den), lead, config)
+        lead = _draw_coef(rng, -_SERIES_BOUND, _SERIES_BOUND, positive)
+        num, den = _draw_exponent(rng)
+        return _draw_terms(rng, (-num, den), lead, config)
     if shape == "mixed":
-        return _draw_terms(rng, cfg, (0, 1), _draw_coef(rng, *cfg.coef_range, positive), config)
+        return _draw_terms(rng, (0, 1), _draw_coef(rng, *_COEF_RANGE, positive), config)
     raise ValueError(f"unknown shape '{shape}'")
 
 
@@ -380,26 +353,26 @@ _STRATUM_KINDS = {
 _POSITIVE = {"positive", "positive-real"}
 
 
-def _drawer(stratum: str, cfg: SamplerConfig, config: FieldConfig):
+def _drawer(stratum: str, config: FieldConfig):
     """A function of the RNG that draws one element of ``stratum``, with the
-    stratum's shapes, cumulative weights and sign resolved once.  Its RNG
-    calls are those of ``random.choices`` with plain weights, which
-    accumulates them into these same cumulative weights."""
+    stratum's shapes and sign resolved once.  A composite stratum picks its
+    shape by ``random.choices`` with cumulative weights 1, 2, ...: the RNG
+    calls of equal plain weights (``random.choice`` draws differently)."""
     if stratum not in STRATA:
         raise ValueError(f"unknown stratum '{stratum}'")
     shapes = _STRATUM_SHAPES[stratum]
     positive = stratum in _POSITIVE
     if len(shapes) == 1:
-        return partial(_sample_shape, shapes[0], cfg=cfg, config=config, positive=positive)
-    cum_weights = list(itertools.accumulate(cfg.weights.get(s, 1.0) for s in shapes))
-    return lambda rng: _sample_shape(rng.choices(shapes, cum_weights=cum_weights)[0], rng, cfg, config, positive)
+        return partial(_sample_shape, shapes[0], config=config, positive=positive)
+    cum_weights = list(range(1, len(shapes) + 1))
+    return lambda rng: _sample_shape(rng.choices(shapes, cum_weights=cum_weights)[0], rng, config, positive)
 
 
 def sample(stratum: str, cfg: "SamplerConfig | None" = None, rng: "random.Random | None" = None,
            config: FieldConfig = DEFAULT_CONFIG) -> LCNumber:
     """Draw one stratified random field element."""
     cfg = cfg or SamplerConfig()
-    return _drawer(stratum, cfg, config)(rng or random.Random(cfg.seed))
+    return _drawer(stratum, config)(rng or random.Random(cfg.seed))
 
 
 def stratum_contains(u: LCNumber, stratum: str) -> bool:
@@ -578,7 +551,7 @@ class _Game:
         self.scopes = [{}, {}]
         self.holds = _compile(formula.matrix, config, inner, self.scopes)
         self.rng = random.Random(cfg.seed)
-        self.draw = {q.stratum: _drawer(q.stratum, cfg, config) for q in formula.prefix}
+        self.draw = {q.stratum: _drawer(q.stratum, config) for q in formula.prefix}
         self.cfg, self.config = cfg, config
         self.eps = field.eps(config)
         self.probes = {q.stratum: _coverage_values(q.stratum, config) for q in formula.prefix}

@@ -8,7 +8,7 @@ from fractions import Fraction
 import numpy as np
 import pytest
 
-from levicalc import calculus, expr, field
+from levicalc import calculus, expr, field, formulas
 from levicalc.errors import BindingError, DivisionByZero, DomainError, NotFinite, ParseError
 from levicalc.expr import (
     Add,
@@ -313,12 +313,14 @@ def test_equal_configs_share_one_field_algebra():
     assert _field_algebra(FieldConfig(depth=8)) is not _field_algebra(a)
 
 
-def test_transfer_of_identities_on_field_bindings():
+def test_transfer_of_identities_on_field_bindings(monkeypatch):
     # identities keep holding coefficientwise for 1000 random finite bindings;
     # the sampler is kept in the well-conditioned regime (moderate standard
     # parts, O(1) series coefficients) so residuals reflect the algebra, not
     # float-noise amplification
-    cfg = SamplerConfig(seed=11, coef_range=(-3.0, 3.0), series_bound=0.5)
+    monkeypatch.setattr(formulas, "_COEF_RANGE", (-3.0, 3.0))
+    monkeypatch.setattr(formulas, "_SERIES_BOUND", 0.5)
+    cfg = SamplerConfig(seed=11)
     rng = random.Random(11)
     pyth = parse_expr("sin(x)^2 + cos(x)^2")
     expid = parse_expr("exp(x) * exp(-x)")
