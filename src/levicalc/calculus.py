@@ -90,7 +90,7 @@ class IntegralResult:
     """A Riemann integral: ``sums`` are the left sums on the grids of
     ``H_schedule`` that were used, ``value`` the last diagonal entry of
     their extrapolation table and ``error`` its distance from the one
-    before (inf when there is a single sum)."""
+    before (inf when there is a single sum, written as null in JSON)."""
 
     value: float
     error: float
@@ -99,7 +99,8 @@ class IntegralResult:
     extrapolated: bool
 
     def to_json(self) -> dict:
-        return {"value": self.value, "error": self.error, "H": self.H_schedule, "sums": self.sums}
+        error = self.error if math.isfinite(self.error) else None
+        return {"value": self.value, "error": error, "H": self.H_schedule, "sums": self.sums}
 
 
 def _the_var(f: Expr, var: "str | None") -> str:

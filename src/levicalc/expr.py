@@ -172,7 +172,10 @@ def _parse_atom(stream: TokenStream) -> Expr:
     tok = stream.peek()
     if tok.kind == "number":
         stream.next()
-        return Const(float(tok.text))
+        value = float(tok.text)
+        if not math.isfinite(value):
+            raise ParseError(f"'{tok.text}' is not a finite number", tok.line, tok.col)
+        return Const(value)
     if tok.kind == "ident":
         stream.next()
         if stream.peek().kind == "(":
@@ -405,7 +408,11 @@ def _call_hyper(func: str, u: LCNumber) -> LCNumber:
     if func == "log" and x0 <= 0:
         raise DomainError("log at a standard part <= 0")
     if func == "exp":
-        return field.taylor_series(u, math.exp(x0), 1.0, 0.0)
+        try:
+            scale = math.exp(x0)
+        except OverflowError:
+            raise NotFinite(f"exp({u}) overflows") from None
+        return field.taylor_series(u, scale, 1.0, 0.0)
     if func == "log":
         return field.taylor_series(u, math.log(x0), 1.0, -1.0, scale=1.0 / x0, forced=True)
     return field.taylor_series(u, complex(math.cos(x0), math.sin(x0)), 1j, 0.0, imag=func == "sin")

@@ -590,11 +590,17 @@ def _witness_candidates(quant, binding, game: _Game):
         yield draw(rng)
 
 
-def _diagonals(pools):
-    """Tuples of one candidate from each pool by increasing sum of their
+def _diagonals(streams, sizes):
+    """Tuples of one candidate from each stream by increasing sum of their
     ranks (Cantor diagonals), lexicographic within a sum, so that a budget
-    cut short still takes every variable past its first candidates."""
-    for total in range(sum(map(len, pools))):
+    cut short still takes every variable past its first candidates.  Stream
+    i gives its first sizes[i] candidates, each drawn when the first
+    diagonal that needs it begins."""
+    pools = [[] for _ in streams]
+    for total in range(sum(sizes) - len(sizes) + 1):
+        for pool, stream, size in zip(pools, streams, sizes):
+            if total < size:
+                pool.append(next(stream))
         yield from _with_sum(pools, total)
 
 
@@ -619,17 +625,13 @@ def _eval_blocks(game: _Game, blocks, binding, inside_exists, batch=None):
     (kind, quants), rest = blocks[0], blocks[1:]
     exists = kind == "exists"
     if exists:
-        # Candidates per variable, first distinguished then random; one
-        # variable's are drawn lazily since most searches succeed within the
-        # first few.  Several variables walk their pools jointly by rank sum,
-        # within pool * len(quants) tries.
+        # Candidates per variable, first distinguished then random, walked
+        # jointly by rank sum within pool * len(quants) tries; each is drawn
+        # at first use, since most searches succeed within the first few.
         names = [q.var for q in quants]
         pool = game.cfg.witness_pool
-        if len(quants) == 1:
-            combos = ((u,) for u in itertools.islice(_witness_candidates(quants[0], binding, game), pool))
-        else:
-            pools = [list(itertools.islice(_witness_candidates(q, binding, game), pool)) for q in quants]
-            combos = itertools.islice(_diagonals(pools), pool * len(quants))
+        streams = [_witness_candidates(q, binding, game) for q in quants]
+        combos = itertools.islice(_diagonals(streams, [pool] * len(quants)), pool * len(quants))
         pairs = ((dict(zip(names, combo)), {}) for combo in combos)
     else:
         n = game.cfg.nested_samples if inside_exists else game.cfg.samples

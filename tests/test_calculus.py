@@ -464,6 +464,12 @@ def test_integral_custom_schedule():
         riemann_integral(f("x"), 0.0, 1.0, schedule=[])
 
 
+def test_integral_one_grid_has_no_error_estimate():
+    r = riemann_integral(f("x"), 0.0, 1.0, schedule=[1000])
+    assert r.H_schedule == [1000] and r.value == r.sums[0]
+    assert r.error == math.inf and r.extrapolated is False
+
+
 @pytest.mark.parametrize("schedule", [[1000, 1000], [1000, 2000.5], [2000, 1000], [0, 10], ["1000"]])
 def test_integral_bad_schedule_raises(schedule):
     with pytest.raises(ValueError):

@@ -225,3 +225,46 @@ def test_overflowing_series_literal_is_a_parse_error(capsys, argv, col):
     code, out, err = run(capsys, *argv)
     assert code == 1 and out == ""
     assert err.startswith(f"ParseError: 1:{col}: ") and err.count("\n") == 1, err
+
+
+@pytest.mark.parametrize("argv", [
+    ["eval", "1e400 - 1e400"],
+    ["eval", "1e400*x", "--at", "x=eps"],
+    ["derive", "1e400*x", "--at", "0"],
+])
+def test_overflowing_expression_constant_is_a_parse_error(capsys, argv):
+    code, out, err = run(capsys, *argv)
+    assert (code, out, err) == (1, "", "ParseError: 1:1: '1e400' is not a finite number\n")
+
+
+@pytest.mark.parametrize("argv, line", [
+    (["eval", "exp(x)", "--at", "x=800"], "NotFinite: exp(800) overflows"),
+    (["derive", "exp(x)", "--at", "800"], "NotFinite: exp(800 + eps) overflows"),
+    (["mvt-theta", "exp(x)", "--x", "800", "--h-infinitesimal"], "NotFinite: exp(800.0) overflows"),
+    (["integrate", "x", "--a", "1", "--b", "0"], "ValueError: need a <= b"),
+    (["mvt-theta", "x*y", "--x", "0", "--h", "1"],
+     "ValueError: expression has several variables ['x', 'y']; pass var="),
+    (["eval", "x", "--at", "x"], "LevicalcError: --at expects NAME=SERIES, got 'x'"),
+    (["taylor-check", "x", "--a", "0"], "LevicalcError: taylor-check needs --b (or --infinitesimal)"),
+    (["integrate", "x", "--a", "0", "--b", "1", "--schedule", "1000,abc"],
+     "LevicalcError: bad schedule '1000,abc'; expected comma-separated integers"),
+    (["--config", "{dir}/no_equals.conf", "st", "1"],
+     "LevicalcError: {dir}/no_equals.conf:2: expected key=value, got 'depth 4'"),
+    (["--config", "{dir}/format_xml.conf", "st", "1"], "LevicalcError: bad output format 'xml'"),
+], ids=["eval-exp-800", "derive-exp-800", "mvt-exp-800", "integrate-b-below-a", "mvt-two-variables",
+        "eval-at-no-equals", "taylor-no-b", "schedule-abc", "config-no-equals", "config-format-xml"])
+def test_error_paths_print_one_pinned_line(tmp_path, capsys, argv, line):
+    (tmp_path / "no_equals.conf").write_text("# depth\ndepth 4\n")
+    (tmp_path / "format_xml.conf").write_text("format = xml\n")
+    code, out, err = run(capsys, *(arg.replace("{dir}", str(tmp_path)) for arg in argv))
+    assert (code, out, err) == (1, "", line.replace("{dir}", str(tmp_path)) + "\n")
+
+
+def test_one_grid_integral_json_is_strict(capsys):
+    # no error estimate from a single sum: null, not the non-JSON Infinity
+    code, out, _ = run(capsys, "--format", "json", "integrate", "x", "--a", "0", "--b", "1", "--schedule", "1000")
+    assert code == 0
+    data = json.loads(out, parse_constant=lambda name: pytest.fail(f"non-JSON constant {name}"))
+    assert data["error"] is None and data["H"] == [1000]
+    code, out, _ = run(capsys, "integrate", "x", "--a", "0", "--b", "1", "--schedule", "1000")
+    assert code == 0 and "error estimate = inf\n" in out

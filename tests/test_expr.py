@@ -142,6 +142,7 @@ def test_operator_pairs_render_and_reparse(o1, o2, left_text, right_text):
     ("", "1:1: expected an expression, got end of input"),
     (")", "1:1: expected an expression, got ')'"),
     ("2 ^ x", "1:5: expected an integer exponent, got 'x'"),
+    ("x - 1e400", "1:5: '1e400' is not a finite number"),
 ])
 def test_malformed_expression_messages(src, message):
     with pytest.raises(ParseError) as e:
@@ -275,6 +276,13 @@ def test_infinite_argument_rejected():
         eval_hyper(parse_expr("sin(x)"), {"x": field.infinite()})
     with pytest.raises(NotFinite):
         eval_hyper(parse_expr("sqrt(x)"), {"x": field.infinite()})
+
+
+@pytest.mark.parametrize("at", ["800", "800 + eps"])
+def test_hyper_exp_overflow_is_not_finite(at):
+    # e**800 overflows a float, as eval_real reports for the same term
+    with pytest.raises(NotFinite, match="overflows"):
+        eval_hyper(parse_expr("exp(x)"), {"x": field.parse_lc(at)})
 
 
 def test_hyper_domain_errors():

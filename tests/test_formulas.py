@@ -400,9 +400,10 @@ def test_existential_block_searches_jointly():
 
 
 def test_diagonals_cover_the_product_by_rank_sum():
-    assert list(formulas._diagonals([range(2), range(3)])) == [(0, 0), (0, 1), (1, 0), (0, 2), (1, 1), (1, 2)]
+    assert list(formulas._diagonals([iter(range(2)), iter(range(3))], [2, 3])) == [
+        (0, 0), (0, 1), (1, 0), (0, 2), (1, 1), (1, 2)]
     for sizes in ([1, 1], [3, 1], [2, 4, 3], [5, 2, 1, 2]):
-        index = list(formulas._diagonals([range(n) for n in sizes]))
+        index = list(formulas._diagonals([itertools.count() for _ in sizes], sizes))
         assert sorted(index) == list(itertools.product(*map(range, sizes)))
         assert [sum(t) for t in index] == sorted(sum(t) for t in index)
 
@@ -437,6 +438,12 @@ def test_unguarded_division_reports_evaluation_error():
     # either way the binding is reported, not swallowed
     assert "division by zero" in str(e.value) or "DivisionByZero" in str(e.value)
     assert "a = " in str(e.value)
+
+
+def test_field_overflow_reports_evaluation_error():
+    f = parse_formula("forall x: infinitesimal. exp(800 + x) < 1")
+    with pytest.raises(EvaluationError, match=r"^NotFinite: exp\(800 \+ eps\) overflows \(at x = eps\)$"):
+        check(f, SamplerConfig(samples=50, seed=7))
 
 
 def test_hoisted_side_waits_for_its_guard():
