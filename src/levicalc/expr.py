@@ -397,6 +397,9 @@ def _call_hyper(func: str, u: LCNumber) -> LCNumber:
     """
     if not u.is_zero and u.leading_exponent < 0:
         raise NotFinite(f"{func} applied to an infinite argument")
+    x0 = field.standard_part(u)
+    if not math.isfinite(x0):  # a float overflow upstream, e.g. x*x at x = 1e200
+        raise NotFinite(f"{func} of a value whose standard part is {x0}")
     if func == "sqrt":
         if u.is_zero:
             return u
@@ -404,7 +407,6 @@ def _call_hyper(func: str, u: LCNumber) -> LCNumber:
             return field.nth_root(u, 2)
         except NegativeLeading:
             raise DomainError("sqrt of a value with negative leading coefficient") from None
-    x0 = field.standard_part(u)
     if func == "log" and x0 <= 0:
         raise DomainError("log at a standard part <= 0")
     if func == "exp":

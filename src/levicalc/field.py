@@ -546,11 +546,24 @@ def compare(a: LCNumber, b: LCNumber) -> int:
     normalized difference a - b, computed here without building the series:
     one merge walk over the two sorted pair tuples, which returns at the
     first kept order whose difference exceeds eq_tol, and decides EQUAL at
-    the end of the leading order's depth window.
+    the end of the leading order's depth window.  Most pairs are decided
+    by their leading terms alone, so those are read first, before the
+    operands are brought to one lattice: when the leading difference
+    exceeds eq_tol (>= zero_tol) it is the walk's first kept order, and its
+    sign is the walk's answer.
     """
     config = _require_same_config(a, b)
-    den, pa, pb = _aligned(a, b)
     zt, tol = config.zero_tol, config.eq_tol
+    pa, pb = a._pairs, b._pairs
+    if pa and pb:
+        (ka, ca), (kb, cb) = pa[0], pb[0]
+        ka, kb = ka * b._den, kb * a._den
+        d = ca if ka < kb else -cb if kb < ka else ca - cb
+    else:
+        d = pa[0][1] if pa else -pb[0][1] if pb else 0.0
+    if (d if d >= 0 else -d) > tol:
+        return GREATER if d > 0 else LESS
+    den, pa, pb = _aligned(a, b)
     ia, ib = iter(pa), iter(pb)
     ka, ca = next(ia, _END)
     kb, cb = next(ib, _END)

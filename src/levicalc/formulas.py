@@ -282,18 +282,30 @@ class SamplerConfig:
                 raise ValueError(f"{name} must be >= 1")
 
 
-def _draw_coef(rng: random.Random, lo: float, hi: float, positive: bool) -> float:
-    """Uniform on [lo, hi], drawn again until its magnitude is at least 0.05."""
+def _below(bits, n: int) -> int:
+    """A uniform integer in [0, n) by rejection on ``bits``, a generator's
+    ``getrandbits``: the algorithm of ``randrange(n)``, so it makes the same
+    draws and leaves the generator in the same state."""
+    k = n.bit_length()
+    r = bits(k)
+    while r >= n:
+        r = bits(k)
+    return r
+
+
+def _draw_coef(random, lo: float, hi: float, positive: bool) -> float:
+    """Uniform on [lo, hi] by ``uniform``'s formula on ``random``, a
+    generator's ``random``, drawn again until its magnitude is at least 0.05."""
     while True:
-        c = rng.uniform(lo, hi)
+        c = lo + (hi - lo) * random()
         if abs(c) >= 0.05:
             return abs(c) if positive else c
 
 
-def _draw_exponent(rng: random.Random) -> tuple:
+def _draw_exponent(bits) -> tuple:
     """A positive exponent num/den, den <= _EXP_DEN_BOUND, as (num, den)."""
-    den = rng.randint(1, _EXP_DEN_BOUND)
-    return rng.randrange(2 * den) + 1, den
+    den = 1 + _below(bits, _EXP_DEN_BOUND)
+    return _below(bits, 2 * den) + 1, den
 
 
 def _draw_terms(rng, lead_exp, lead, config):
@@ -301,8 +313,12 @@ def _draw_terms(rng, lead_exp, lead, config):
     lead, plus up to two drawn higher orders, built on the integer lattice
     1/(den * lcm of the drawn denominators) and normalized as LCNumber is."""
     lead_num, lead_den = lead_exp
+    bits, random = rng.getrandbits, rng.random
+    n = _below(bits, 3)
+    if not n:
+        return field.from_lattice(lead_den, {lead_num: lead}, config)
     cap = 0.5 * min(abs(lead), 1.0)
-    tail = [(_draw_exponent(rng), rng.uniform(-cap, cap)) for _ in range(rng.randint(0, 2))]
+    tail = [(_draw_exponent(bits), -cap + (cap + cap) * random()) for _ in range(n)]  # uniform(-cap, cap)
     step = math.lcm(*[den for (_, den), _ in tail])
     den, k0 = lead_den * step, lead_num * step
     acc = {k0: lead}
@@ -314,16 +330,16 @@ def _draw_terms(rng, lead_exp, lead, config):
 
 def _sample_shape(shape: str, rng: random.Random, config: FieldConfig, positive: bool) -> LCNumber:
     if shape == "real":
-        return LCNumber.from_real(_draw_coef(rng, *_COEF_RANGE, positive), config)
+        return LCNumber.from_real(_draw_coef(rng.random, *_COEF_RANGE, positive), config)
     if shape == "infinitesimal":
-        lead = _draw_coef(rng, -_SERIES_BOUND, _SERIES_BOUND, positive)
-        return _draw_terms(rng, _draw_exponent(rng), lead, config)
+        lead = _draw_coef(rng.random, -_SERIES_BOUND, _SERIES_BOUND, positive)
+        return _draw_terms(rng, _draw_exponent(rng.getrandbits), lead, config)
     if shape == "infinite":
-        lead = _draw_coef(rng, -_SERIES_BOUND, _SERIES_BOUND, positive)
-        num, den = _draw_exponent(rng)
+        lead = _draw_coef(rng.random, -_SERIES_BOUND, _SERIES_BOUND, positive)
+        num, den = _draw_exponent(rng.getrandbits)
         return _draw_terms(rng, (-num, den), lead, config)
     if shape == "mixed":
-        return _draw_terms(rng, (0, 1), _draw_coef(rng, *_COEF_RANGE, positive), config)
+        return _draw_terms(rng, (0, 1), _draw_coef(rng.random, *_COEF_RANGE, positive), config)
     raise ValueError(f"unknown shape '{shape}'")
 
 
@@ -356,16 +372,17 @@ _POSITIVE = {"positive", "positive-real"}
 def _drawer(stratum: str, config: FieldConfig):
     """A function of the RNG that draws one element of ``stratum``, with the
     stratum's shapes and sign resolved once.  A composite stratum picks its
-    shape by ``random.choices`` with cumulative weights 1, 2, ...: the RNG
-    calls of equal plain weights (``random.choice`` draws differently)."""
+    shape as ``shapes[int(random() * n)]``, the index that ``random.choices``
+    with cumulative weights 1, 2, ..., n returns from the same one draw
+    (``random.choice`` draws differently)."""
     if stratum not in STRATA:
         raise ValueError(f"unknown stratum '{stratum}'")
     shapes = _STRATUM_SHAPES[stratum]
     positive = stratum in _POSITIVE
     if len(shapes) == 1:
         return partial(_sample_shape, shapes[0], config=config, positive=positive)
-    cum_weights = list(range(1, len(shapes) + 1))
-    return lambda rng: _sample_shape(rng.choices(shapes, cum_weights=cum_weights)[0], rng, config, positive)
+    n = len(shapes)
+    return lambda rng: _sample_shape(shapes[int(rng.random() * n)], rng, config, positive)
 
 
 def sample(stratum: str, cfg: "SamplerConfig | None" = None, rng: "random.Random | None" = None,

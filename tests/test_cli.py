@@ -241,6 +241,8 @@ def test_overflowing_expression_constant_is_a_parse_error(capsys, argv):
     (["eval", "exp(x)", "--at", "x=800"], "NotFinite: exp(800) overflows"),
     (["derive", "exp(x)", "--at", "800"], "NotFinite: exp(800 + eps) overflows"),
     (["mvt-theta", "exp(x)", "--x", "800", "--h-infinitesimal"], "NotFinite: exp(800.0) overflows"),
+    (["eval", "sin(x*x)", "--at", "x=1e200"], "NotFinite: sin of a value whose standard part is inf"),
+    (["eval", "exp(x*x)", "--at", "x=1e200"], "NotFinite: exp of a value whose standard part is inf"),
     (["integrate", "x", "--a", "1", "--b", "0"], "ValueError: need a <= b"),
     (["mvt-theta", "x*y", "--x", "0", "--h", "1"],
      "ValueError: expression has several variables ['x', 'y']; pass var="),
@@ -251,8 +253,9 @@ def test_overflowing_expression_constant_is_a_parse_error(capsys, argv):
     (["--config", "{dir}/no_equals.conf", "st", "1"],
      "LevicalcError: {dir}/no_equals.conf:2: expected key=value, got 'depth 4'"),
     (["--config", "{dir}/format_xml.conf", "st", "1"], "LevicalcError: bad output format 'xml'"),
-], ids=["eval-exp-800", "derive-exp-800", "mvt-exp-800", "integrate-b-below-a", "mvt-two-variables",
-        "eval-at-no-equals", "taylor-no-b", "schedule-abc", "config-no-equals", "config-format-xml"])
+], ids=["eval-exp-800", "derive-exp-800", "mvt-exp-800", "eval-sin-overflowed", "eval-exp-overflowed",
+        "integrate-b-below-a", "mvt-two-variables", "eval-at-no-equals", "taylor-no-b", "schedule-abc",
+        "config-no-equals", "config-format-xml"])
 def test_error_paths_print_one_pinned_line(tmp_path, capsys, argv, line):
     (tmp_path / "no_equals.conf").write_text("# depth\ndepth 4\n")
     (tmp_path / "format_xml.conf").write_text("format = xml\n")

@@ -285,6 +285,13 @@ def test_hyper_exp_overflow_is_not_finite(at):
         eval_hyper(parse_expr("exp(x)"), {"x": field.parse_lc(at)})
 
 
+@pytest.mark.parametrize("func", ["sin", "cos", "exp", "log", "sqrt"])
+def test_hyper_primitive_of_overflowed_argument_is_not_finite(func):
+    # x*x overflows a float to an inf coefficient; no primitive extends there
+    with pytest.raises(NotFinite, match="standard part is inf"):
+        eval_hyper(parse_expr(f"{func}(x*x)"), {"x": 1e200})
+
+
 def test_hyper_domain_errors():
     with pytest.raises(DomainError):
         eval_hyper(parse_expr("log(x)"), {"x": eps()})  # st = 0

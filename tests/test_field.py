@@ -189,6 +189,25 @@ def test_compare_walk_matches_reference():
     at_zt = [(field.from_lattice(1, {0: c, 1: 0.5}, coarse), field.from_lattice(1, {0: 0.5, 1: 1.5}, coarse))
              for c in (0.75, 0.8)]
     assert [compare(a, b) for a, b in at_zt] == [LESS, GREATER]
+    # The leading terms decide alone only past eq_tol.  A leading difference
+    # of exactly eq_tol, just above it and just below it: one lead alone, and
+    # two leads on one order (1.5 - 1.0 is exact) ...
+    tol = CFG.eq_tol
+    lone = [(field.from_lattice(1, {1: c, 2: 1.0}), field.from_lattice(1, {2: 1.0}))
+            for c in (tol, math.nextafter(tol, 1.0), math.nextafter(tol, 0.0))]
+    same = [(field.from_lattice(1, {0: c, 1: 0.5}, coarse), field.from_lattice(1, {0: 1.0, 1: 0.5}, coarse))
+            for c in (1.5, math.nextafter(1.5, 2.0), math.nextafter(1.5, 1.0))]
+    # ... leads on the lattices 1/2 and 1/3, the smaller order's at +-eq_tol,
+    # so the next order settles it with that lead's sign ...
+    lattices = [(field.from_lattice(2, {1: c}), field.from_lattice(3, {2: 1.0})) for c in (tol, -tol)]
+    # ... zero against leads of at most eq_tol, and infinite leads
+    small = [(zero(), real(tol)), (zero(), field.from_lattice(1, {0: 0.5 * tol, 1: 1.0}))]
+    infinite = [(lc((0, math.inf)), real(1.0)), (lc((-1, 1.0)), lc((0, math.inf))),
+                (lc((0, math.inf)), lc((0, math.inf))), (lc((0, -math.inf), (1, 1.0)), lc((0, math.inf)))]
+    leads = lone + same + lattices + small + infinite
+    assert [compare(a, b) for a, b in leads] == [EQUAL, GREATER, EQUAL, EQUAL, GREATER, EQUAL, GREATER, LESS,
+                                                 EQUAL, LESS, GREATER, GREATER, EQUAL, LESS]
+    cases.extend(leads)
     narrow = FieldConfig(depth=2, max_terms=3, zero_tol=1e-6, eq_tol=1e-3)
     rng = random.Random(0)
     for config, n in ((CFG, 3000), (narrow, 3000), (coarse, 1000)):
