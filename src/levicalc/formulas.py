@@ -293,11 +293,11 @@ def _below(bits, n: int) -> int:
     return r
 
 
-def _draw_coef(random, lo: float, hi: float, positive: bool) -> float:
-    """Uniform on [lo, hi] by ``uniform``'s formula on ``random``, a
+def _draw_coef(rand, lo: float, hi: float, positive: bool) -> float:
+    """Uniform on [lo, hi] by ``uniform``'s formula on ``rand``, a
     generator's ``random``, drawn again until its magnitude is at least 0.05."""
     while True:
-        c = lo + (hi - lo) * random()
+        c = lo + (hi - lo) * rand()
         if abs(c) >= 0.05:
             return abs(c) if positive else c
 
@@ -313,12 +313,12 @@ def _draw_terms(rng, lead_exp, lead, config):
     lead, plus up to two drawn higher orders, built on the integer lattice
     1/(den * lcm of the drawn denominators) and normalized as LCNumber is."""
     lead_num, lead_den = lead_exp
-    bits, random = rng.getrandbits, rng.random
+    bits = rng.getrandbits
     n = _below(bits, 3)
     if not n:
         return field.from_lattice(lead_den, {lead_num: lead}, config)
     cap = 0.5 * min(abs(lead), 1.0)
-    tail = [(_draw_exponent(bits), -cap + (cap + cap) * random()) for _ in range(n)]  # uniform(-cap, cap)
+    tail = [(_draw_exponent(bits), -cap + (cap + cap) * rng.random()) for _ in range(n)]  # uniform(-cap, cap)
     step = math.lcm(*[den for (_, den), _ in tail])
     den, k0 = lead_den * step, lead_num * step
     acc = {k0: lead}
