@@ -314,11 +314,9 @@ def _draw_terms(rng, lead_exp, lead, config):
     1/(den * lcm of the drawn denominators) and normalized as LCNumber is."""
     lead_num, lead_den = lead_exp
     bits = rng.getrandbits
-    n = _below(bits, 3)
-    if not n:
-        return field.from_lattice(lead_den, {lead_num: lead}, config)
     cap = 0.5 * min(abs(lead), 1.0)
-    tail = [(_draw_exponent(bits), -cap + (cap + cap) * rng.random()) for _ in range(n)]  # uniform(-cap, cap)
+    tail = [(_draw_exponent(bits), -cap + (cap + cap) * rng.random())  # uniform(-cap, cap)
+            for _ in range(_below(bits, 3))]
     step = math.lcm(*[den for (_, den), _ in tail])
     den, k0 = lead_den * step, lead_num * step
     acc = {k0: lead}
