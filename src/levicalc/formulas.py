@@ -25,7 +25,7 @@ import itertools
 import math
 import random
 from dataclasses import dataclass
-from functools import partial
+from functools import lru_cache, partial
 from typing import Mapping
 
 from . import field
@@ -433,7 +433,6 @@ class CheckReport:
         return out
 
 
-_UNSET = object()  # a cached side not yet computed in its scope
 _REALS = object()  # a sample's own float projection, kept in its scope
 
 
@@ -447,105 +446,107 @@ def _bind(binding, eps_value) -> tuple:
     return binding, reals
 
 
-def _compile(node, config: FieldConfig, inner=None, scopes=None, sides=None):
-    """The matrix as one predicate of (binding, reals), resolved once: each
-    connective becomes a closure over its compiled operands, and each atom
-    knows up front its accepted orders and whether a side uses eps.
-    Connectives short-circuit left to right.
+def _compile(node, config: FieldConfig, inner=None, scopes=None):
+    """The matrix as one predicate of (binding, reals), generated from
+    _matrix_source.  Connectives short-circuit left to right; an atom
+    without eps compares floats (``field.compare_real``) when ``reals`` is
+    given, field values (``field.compare``) otherwise.
 
     ``inner`` names the variables of a check's innermost block when outer
-    blocks bind the rest; ``scopes`` is then [outer scope, sample scope].
-    An atom side in none of the innermost variables is kept in the outer
-    scope, which the loop empties when it starts under a new outer binding;
-    one in innermost variables alone is kept in its drawn sample's scope,
-    shared by every witness candidate that replays the sample.  Either is
-    computed at its first read (so a guard still protects it), once per
-    path, float or field, and sides that render alike share the entry
-    (``sides``).  A bare-variable side is read from the binding.
+    blocks bind the rest; ``scopes`` is then [outer scope, sample scope].  A
+    side in none of the innermost variables is kept in the outer scope,
+    which the loop empties under each new outer binding; one in innermost
+    variables alone in its drawn sample's scope, shared by every witness
+    candidate that replays the sample.  Either is computed at its first read
+    (so a guard still protects it), once per path, and sides that render
+    alike share the entry.  A bare-variable side is read from the binding.
     """
-    if sides is None:
-        sides = {}
-    if isinstance(node, Atom):
-        return _compile_atom(node, config, inner, scopes, sides)
-    if isinstance(node, Not):
-        operand = _compile(node.operand, config, inner, scopes, sides)
-        return lambda binding, reals: not operand(binding, reals)
-    if isinstance(node, (And, Or, Implies)):
-        left = _compile(node.left, config, inner, scopes, sides)
-        right = _compile(node.right, config, inner, scopes, sides)
-        if isinstance(node, And):
-            return lambda binding, reals: left(binding, reals) and right(binding, reals)
-        if isinstance(node, Or):
-            return lambda binding, reals: left(binding, reals) or right(binding, reals)
-        return lambda binding, reals: not left(binding, reals) or right(binding, reals)
-    raise TypeError(f"not a matrix node: {node!r}")
+    source, values = _matrix_source(node, inner)
+    return _maker(source)(config, scopes, *values)
 
 
-def _compile_atom(atom: Atom, config: FieldConfig, inner, scopes, sides):
-    accept = field.ACCEPTS.get(atom.op)
-    if accept is None:
-        raise TypeError(f"not a comparison operator: {atom.op!r}")
-    left_vars, right_vars = free_variables(atom.left), free_variables(atom.right)
-    scalar = "eps" not in left_vars | right_vars
-    left_real, left_field = _side(atom.left, left_vars, config, inner, scopes, sides)
-    right_real, right_field = _side(atom.right, right_vars, config, inner, scopes, sides)
+def _matrix_source(node, inner) -> tuple:
+    """The source of ``make(config, scopes, v0, v1, ...)``, which returns the
+    predicate, and the values of v0, v1, ...: Exprs, variable names and
+    accepted orders.  No formula text enters the source, so one ``make``
+    serves every matrix of its shape.  A cached side is kept in s0 (outer)
+    or s1 (sample) under an index per rendering and path."""
+    slots, kept = {}, {}  # a value's key -> (parameter, value); a cached side's -> (Expr, index)
+    evaluate = {"reals": "eval_real({}, reals)", "binding": "_eval_hyper({}, binding, config)"}
 
-    def holds(binding, reals) -> bool:
-        try:
-            if scalar and reals is not None:
-                order = field.compare_real(left_real(reals), right_real(reals), config)
-            else:
-                order = field.compare(left_field(binding), right_field(binding))
-        except LevicalcError as e:
-            raise _evaluation_error(e, binding) from e
-        return order in accept
+    def slot(value, key) -> str:
+        return slots.setdefault(key, (f"v{len(slots)}", value))[0]
 
-    return holds
+    def side(e: Expr, free: set, path: str) -> str:
+        if inner is not None and type(e) is Var:
+            return f"{path}[{slot(e.name, ('name', e.name))}]"
+        scope = 1 if inner and free & inner else 0
+        if inner is None or (scope and not free - inner <= {"eps"}):
+            return evaluate[path].format(slot(e, id(e)))
+        e, key = kept.setdefault((render_expr(e), path), (e, len(kept)))
+        compute, store = evaluate[path].format(slot(e, id(e))), f"s{scope}"
+        return f"({store}[{key}] if {key} in {store} else {store}.setdefault({key}, {compute}))"
+
+    def matrix(node, scalar_path: bool, min_prec: int = 0) -> str:
+        """node's source, in parentheses when its precedence (1 for or, 2
+        for and, 3 for not, 4 for an atom) is below min_prec."""
+        if isinstance(node, Atom):
+            accept = field.ACCEPTS.get(node.op)
+            if accept is None:
+                raise TypeError(f"not a comparison operator: {node.op!r}")
+            left_vars, right_vars = free_variables(node.left), free_variables(node.right)
+            path = "reals" if scalar_path and "eps" not in left_vars | right_vars else "binding"
+            sides = f"{side(node.left, left_vars, path)}, {side(node.right, right_vars, path)}"
+            order = f"field.compare_real({sides}, config)" if path == "reals" else f"field.compare({sides})"
+            return f"{order} in {slot(accept, ('accept', node.op))}"
+        if isinstance(node, Not):
+            prec, text = 3, f"not {matrix(node.operand, scalar_path, 3)}"
+        elif isinstance(node, Implies):
+            prec, text = 1, f"not {matrix(node.left, scalar_path, 3)} or {matrix(node.right, scalar_path, 1)}"
+        elif isinstance(node, (And, Or)):
+            prec, word = (2, "and") if isinstance(node, And) else (1, "or")
+            text = f"{matrix(node.left, scalar_path, prec)} {word} {matrix(node.right, scalar_path, prec)}"
+        else:
+            raise TypeError(f"not a matrix node: {node!r}")
+        return f"({text})" if prec < min_prec else text
+
+    on_fields, on_reals = matrix(node, False), matrix(node, True)
+    body = on_fields if on_reals == on_fields else f"{on_reals} if reals is not None else {on_fields}"
+    names, values = zip(*slots.values())  # every atom has a slot
+    reads = "        s0, s1 = scopes\n" if kept else ""
+    return (f"def make(config, scopes, {', '.join(names)}):\n    def holds(binding, reals):\n{reads}"
+            f"        try:\n            return {body}\n        except LevicalcError as e:\n"
+            "            raise _evaluation_error(e, binding) from e\n    return holds\n"), values
 
 
-def _side(e: Expr, free: set, config: FieldConfig, inner, scopes, sides) -> tuple:
-    """The (float, field) readers of one side of an atom: read from the
-    binding, cached in the scope its variables allow, or evaluated."""
-    if inner is not None and type(e) is Var:
-        name = e.name
-        return (lambda reals: reals[name]), (lambda binding: binding[name])
-    real, hyper = partial(eval_real, e), partial(_eval_hyper, e, config=config)
-    scope = 1 if inner and free & inner else 0
-    if inner is None or (scope and not free - inner <= {"eps"}):
-        return real, hyper
-    key = render_expr(e)
-    if key not in sides:
-        sides[key] = _cached(real, scopes, scope), _cached(hyper, scopes, scope)
-    return sides[key]
-
-
-def _cached(compute, scopes, scope: int):
-    """compute, run at the first read in ``scopes[scope]`` (so a guard still
-    protects it and an error is raised where it was), keyed there by
-    compute itself."""
-
-    def read(values):
-        kept = scopes[scope]
-        value = kept.get(compute, _UNSET)
-        if value is _UNSET:
-            value = kept[compute] = compute(values)
-        return value
-
-    return read
+@lru_cache(maxsize=256)
+def _maker(source: str):
+    """The ``make`` that source defines, compiled once per distinct source.
+    Its globals are this module's, so a tracer or a test that replaces
+    ``field.compare``, ``eval_real`` or ``_eval_hyper`` sees every call."""
+    namespace = {}
+    exec(compile(source, "<levicalc matrix>", "exec"), globals(), namespace)
+    return namespace["make"]
 
 
 def _evaluation_error(e: LevicalcError, binding) -> EvaluationError:
     rendered = ", ".join(f"{name} = {u}" for name, u in binding.items() if name != "eps")
-    return EvaluationError(f"{type(e).__name__}: {e} (at {rendered})")
+    return EvaluationError(f"{type(e).__name__}: {e}" + (f" (at {rendered})" if rendered else ""))
 
 
 def evaluate_matrix(node, binding: Mapping[str, LCNumber], config: FieldConfig = DEFAULT_CONFIG) -> bool:
     """Evaluate a quantifier-free matrix under a field-valued binding.
 
     Connectives short-circuit left to right, so guards like
-    ``not (a = 0) => ...`` protect the terms they dominate.
+    ``not (a = 0) => ...`` protect the terms they dominate.  An int or float
+    value is taken as the real ``LCNumber.from_real(value, config)``; any
+    other value that is not an LCNumber raises TypeError.
     """
-    return _compile(node, config)(*_bind(dict(binding), field.eps(config)))
+    for name, u in binding.items():
+        if not isinstance(u, (LCNumber, int, float)):
+            raise TypeError(f"variable '{name}' is bound to a {type(u).__name__}, not a number")
+    values = {name: u if isinstance(u, LCNumber) else LCNumber.from_real(u, config) for name, u in binding.items()}
+    return _compile(node, config)(*_bind(values, field.eps(config)))
 
 
 def _blocks(prefix):
@@ -685,9 +686,7 @@ def _descend(game: _Game, rest, binding, inside_exists, batch=None):
         scopes[1] = scope
         reals = None
         if outer_reals is not None:
-            own = scope.get(_REALS, _UNSET)
-            if own is _UNSET:
-                own = scope[_REALS] = field.project_reals(assignment, {})
+            own = scope[_REALS] if _REALS in scope else scope.setdefault(_REALS, field.project_reals(assignment, {}))
             if own is not None:
                 reals = {**outer_reals, **own}
         return holds({**outer, **assignment}, reals), {}

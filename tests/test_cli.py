@@ -17,6 +17,14 @@ def run(capsys, *argv):
     return code, captured.out, captured.err
 
 
+def test_transfer_check_error_without_binding(capsys, tmp_path):
+    path = tmp_path / "zero.fof"
+    path.write_text("1/0 < 1\n")
+    code, out, err = run(capsys, "transfer-check", str(path))
+    assert code == 1 and out == ""
+    assert err == "EvaluationError: DomainError: division by zero\n"
+
+
 def test_derive_example(capsys):
     code, out, _ = run(capsys, "derive", "x^3", "--at", "2", "--order", "1")
     assert code == 0

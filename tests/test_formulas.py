@@ -2,7 +2,10 @@
 
 import itertools
 import json
+import os
 import random
+import subprocess
+import sys
 import time
 from fractions import Fraction
 from pathlib import Path
@@ -679,6 +682,139 @@ def test_missing_variable_reports_evaluation_error(binding):
         evaluate_matrix(matrix, binding)
     assert "BindingError: unbound variable 'y'" in str(e.value)
     assert "x = " in str(e.value)
+
+
+def test_evaluate_matrix_takes_numbers_as_reals():
+    matrix = parse_formula("forall x: real, forall n: real. x < n").matrix
+    assert evaluate_matrix(matrix, {"x": 0.5, "n": 1}) is True
+    assert evaluate_matrix(matrix, {"x": 2, "n": field.LCNumber.from_real(1.0)}) is False
+    assert evaluate_matrix(matrix, {"x": 0.5, "n": 1 + field.eps()}) is True
+    with pytest.raises(TypeError, match=r"^variable 'n' is bound to a str, not a number$"):
+        evaluate_matrix(matrix, {"x": 0.5, "n": "1"})
+
+
+def test_evaluation_error_without_binding_has_no_location():
+    with pytest.raises(EvaluationError, match=r"^DomainError: division by zero$"):
+        check(parse_formula("1/0 < 1"))
+    matrix = parse_formula("forall x: any. x < 1").matrix
+    with pytest.raises(EvaluationError, match=r"^BindingError: unbound variable 'x'$"):
+        evaluate_matrix(matrix, {})
+
+
+def _innermost(formula):
+    """The innermost block's variables, as check() passes them to _compile."""
+    blocks = formulas._blocks(formula.prefix)
+    return {q.var for q in blocks[-1][1]} if len(blocks) > 1 else None
+
+
+# Three blocks with cached sides and bare variables, a guard and eps, and
+# one block; {0}-{2} are the variable names.
+RENAMED = [
+    "forall {0}: positive-real, exists {1}: positive-real, forall {2}: finite. "
+    "(0.3 - {1} < {2} and {2} < 0.3 + {1}) => (0.09 - {0} < {2}^2 and {2}^2 < 0.09 + {0})",
+    "forall {0}: any, exists {1}: real, forall {2}: any. not ({2} = 0) => {0} * {1} < {2} * {2} + eps",
+    "forall {0}: any, forall {1}: real, forall {2}: finite. {0} + {1} < {2} or not ({2} * {1} <= {0})",
+]
+# Python keywords and builtins, and names the generated function uses itself.
+HYGIENE_NAMES = [("lambda", "None", "reals"), ("binding", "s0", "compare"), ("config", "v0", "field"),
+                 ("holds", "scopes", "eval_real")]
+
+
+@pytest.mark.parametrize("names", HYGIENE_NAMES, ids="-".join)
+def test_generated_source_carries_no_formula_text(names):
+    for template in RENAMED:
+        plain, renamed = parse_formula(template.format("p", "q", "r")), parse_formula(template.format(*names))
+        back = dict(zip(names, ("p", "q", "r")))
+        for seed in (5, 13):
+            cfg = SamplerConfig(samples=60, nested_samples=20, witness_pool=20, seed=seed)
+            report = check(renamed, cfg).to_json()
+            for key in ("counterexample", "witness", "assignment"):
+                if key in report:
+                    report[key] = {back[name]: value for name, value in report[key].items()}
+            assert report == check(plain, cfg).to_json(), (template, seed)
+        # the same source whatever the names and constants
+        source = formulas._matrix_source(plain.matrix, _innermost(plain))[0]
+        assert formulas._matrix_source(renamed.matrix, _innermost(renamed))[0] == source
+        other = parse_formula(template.format("p", "q", "r").replace("0.3", "7").replace("0.09", "1e-3"))
+        assert formulas._matrix_source(other.matrix, _innermost(other))[0] == source
+
+
+_PRINT_SOURCES = """
+from pathlib import Path
+from levicalc import formulas
+for path in sorted(Path({dir!r}).glob("*.fof")):
+    for _, _, formula in formulas.parse_formula_file(path.read_text()):
+        blocks = formulas._blocks(formula.prefix)
+        inner = {{q.var for q in blocks[-1][1]}} if len(blocks) > 1 else None
+        print(formulas._matrix_source(formula.matrix, inner)[0])
+"""
+
+
+def test_generated_source_does_not_follow_the_hash_seed():
+    src = str(Path(formulas.__file__).resolve().parents[1])
+    outputs = []
+    for seed in ("1", "2"):
+        env = {**os.environ, "PYTHONHASHSEED": seed, "PYTHONPATH": src}
+        outputs.append(subprocess.run([sys.executable, "-c", _PRINT_SOURCES.format(dir=str(FORMULA_DIR))],
+                                      env=env, capture_output=True, text=True, check=True).stdout)
+    matrices = sum(len(parse_formula_file(path.read_text())) for path in FORMULA_DIR.glob("*.fof"))
+    assert outputs[0] == outputs[1] and outputs[0].count("def make") == matrices
+
+
+def test_a_second_check_compiles_nothing_new(monkeypatch):
+    formula = parse_formula(RENAMED[0].format("e", "d", "x"))
+    cfg = SamplerConfig(samples=20, nested_samples=10, witness_pool=10, seed=1)
+    check(formula, cfg)
+    compiled, builtin_compile = [], compile
+
+    def recording_compile(*args, **kwargs):
+        compiled.append(args)
+        return builtin_compile(*args, **kwargs)
+
+    monkeypatch.setattr("builtins.compile", recording_compile)
+    check(formula, cfg)
+    check(parse_formula(RENAMED[0].format("a", "b", "c").replace("0.3", "0.5")), cfg)
+    assert compiled == []
+
+
+def test_unknown_atom_operator_fails_at_compile_time():
+    with pytest.raises(TypeError, match="not a comparison operator: '~'"):
+        formulas._compile(Atom("~", Var("x"), Var("x")), field.DEFAULT_CONFIG)
+    with pytest.raises(TypeError, match="not a matrix node"):
+        formulas._compile(Not("x < 1"), field.DEFAULT_CONFIG)
+
+
+def test_replaced_comparisons_and_evaluators_see_every_call(monkeypatch):
+    # A tracer may replace these after the matrix is compiled; the compiled
+    # matrix must look them up when it runs.
+    formula = parse_formula(CACHED_SIDES[0])
+    cfg = SamplerConfig(samples=30, nested_samples=20, seed=4)
+    targets = [(field, "compare"), (field, "compare_real"), (formulas, "eval_real"), (formulas, "_eval_hyper")]
+    originals = {name: getattr(module, name) for module, name in targets}
+    counts = []
+
+    def patch_all():
+        calls = dict.fromkeys(originals, 0)
+        for module, name in targets:
+            def counted(*args, _name=name, **kwargs):
+                calls[_name] += 1
+                return originals[_name](*args, **kwargs)
+            monkeypatch.setattr(module, name, counted)
+        counts.append(calls)
+
+    patch_all()
+    before = check(formula, cfg).to_json()
+    monkeypatch.undo()
+    compile_matrix = formulas._compile
+
+    def compile_then_patch(*args):
+        holds = compile_matrix(*args)
+        patch_all()
+        return holds
+
+    monkeypatch.setattr(formulas, "_compile", compile_then_patch)
+    assert check(formula, cfg).to_json() == before
+    assert counts[0] == counts[1] and min(counts[0].values()) > 0
 
 
 def test_equality_tolerance_recorded():
