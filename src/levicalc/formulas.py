@@ -24,6 +24,7 @@ from __future__ import annotations
 import itertools
 import math
 import random
+from collections import namedtuple
 from dataclasses import dataclass
 from functools import lru_cache, partial
 from typing import Mapping
@@ -33,8 +34,6 @@ from .errors import BindingError, EvaluationError, LevicalcError, ParseError
 from .expr import Expr, Var, _eval_hyper, eval_real, free_variables, parse_expr_tokens, render_expr
 from .field import DEFAULT_CONFIG, Classification, FieldConfig, LCNumber
 from .lexer import TokenStream, tokenize
-
-STRATA = ("real", "positive-real", "infinitesimal", "positive", "finite", "infinite", "any")
 
 _KEYWORDS = {"forall", "exists", "and", "or", "not"}
 
@@ -132,7 +131,7 @@ def _parse_stratum(stream: TokenStream) -> str:
     if name == "positive" and [t.text for t in stream.tokens[stream.pos:stream.pos + 2]] == ["-", "real"]:
         stream.pos += 2
         name = "positive-real"
-    if name not in STRATA:
+    if name not in _STRATA:
         raise ParseError(f"unknown stratum '{name}'", tok.line, tok.col)
     return name
 
@@ -341,30 +340,30 @@ def _sample_shape(shape: str, rng: random.Random, config: FieldConfig, positive:
     raise ValueError(f"unknown shape '{shape}'")
 
 
-_STRATUM_SHAPES = {
-    "real": ("real",),
-    "positive-real": ("real",),
-    "infinitesimal": ("infinitesimal",),
-    "infinite": ("infinite",),
-    "finite": ("real", "infinitesimal", "mixed"),
-    "positive": ("real", "infinitesimal", "infinite", "mixed"),
-    "any": ("real", "infinitesimal", "infinite", "mixed"),
-}
-
-
 _C = Classification
-# The classifications each stratum holds; a stratum in _POSITIVE holds only
-# the values among them with a positive leading coefficient.
-_STRATUM_KINDS = {
-    "real": {_C.ZERO, _C.APPRECIABLE},
-    "positive-real": {_C.APPRECIABLE},
-    "infinitesimal": {_C.INFINITESIMAL},
-    "infinite": {_C.INFINITE},
-    "finite": {_C.ZERO, _C.INFINITESIMAL, _C.APPRECIABLE, _C.FINITE_WITH_INFINITESIMAL_PART},
-    "positive": {_C.INFINITESIMAL, _C.APPRECIABLE, _C.FINITE_WITH_INFINITESIMAL_PART, _C.INFINITE},
-    "any": set(Classification),
+# One row per stratum: the shapes its sampler picks from, the classifications
+# it holds, and whether it holds only the values among them with a positive
+# leading coefficient.
+_Stratum = namedtuple("_Stratum", "shapes kinds positive")
+_STRATA = {
+    "real": _Stratum(("real",), {_C.ZERO, _C.APPRECIABLE}, False),
+    "positive-real": _Stratum(("real",), {_C.APPRECIABLE}, True),
+    "infinitesimal": _Stratum(("infinitesimal",), {_C.INFINITESIMAL}, False),
+    "positive": _Stratum(("real", "infinitesimal", "infinite", "mixed"),
+                         {_C.INFINITESIMAL, _C.APPRECIABLE, _C.FINITE_WITH_INFINITESIMAL_PART, _C.INFINITE}, True),
+    "finite": _Stratum(("real", "infinitesimal", "mixed"),
+                       {_C.ZERO, _C.INFINITESIMAL, _C.APPRECIABLE, _C.FINITE_WITH_INFINITESIMAL_PART}, False),
+    "infinite": _Stratum(("infinite",), {_C.INFINITE}, False),
+    "any": _Stratum(("real", "infinitesimal", "infinite", "mixed"), set(Classification), False),
 }
-_POSITIVE = {"positive", "positive-real"}
+STRATA = tuple(_STRATA)
+
+
+def _stratum(name: str) -> _Stratum:
+    row = _STRATA.get(name)
+    if row is None:
+        raise ValueError(f"unknown stratum '{name}'")
+    return row
 
 
 def _drawer(stratum: str, config: FieldConfig):
@@ -373,10 +372,7 @@ def _drawer(stratum: str, config: FieldConfig):
     shape as ``shapes[int(random() * n)]``, the index that ``random.choices``
     with cumulative weights 1, 2, ..., n returns from the same one draw
     (``random.choice`` draws differently)."""
-    if stratum not in STRATA:
-        raise ValueError(f"unknown stratum '{stratum}'")
-    shapes = _STRATUM_SHAPES[stratum]
-    positive = stratum in _POSITIVE
+    shapes, _, positive = _stratum(stratum)
     if len(shapes) == 1:
         return partial(_sample_shape, shapes[0], config=config, positive=positive)
     n = len(shapes)
@@ -391,10 +387,8 @@ def sample(stratum: str, cfg: "SamplerConfig | None" = None, rng: "random.Random
 
 
 def stratum_contains(u: LCNumber, stratum: str) -> bool:
-    kinds = _STRATUM_KINDS.get(stratum)
-    if kinds is None:
-        raise ValueError(f"unknown stratum '{stratum}'")
-    return field.classify(u) in kinds and (stratum not in _POSITIVE or u.leading_coefficient > 0)
+    _, kinds, positive = _stratum(stratum)
+    return field.classify(u) in kinds and (not positive or u.leading_coefficient > 0)
 
 
 def _coverage_values(stratum: str, config: FieldConfig) -> list:

@@ -8,6 +8,7 @@ import subprocess
 import sys
 import time
 from fractions import Fraction
+from functools import partial
 from pathlib import Path
 
 import pytest
@@ -25,7 +26,6 @@ from levicalc.formulas import (
     Quantifier,
     SamplerConfig,
     STRATA,
-    _STRATUM_SHAPES,
     check,
     evaluate_matrix,
     parse_formula,
@@ -275,7 +275,7 @@ def _reference_sample(stratum, rng, config):
             out.append((Fraction(lead_num * den + num * lead_den, lead_den * den), rng.uniform(-cap, cap)))
         return out
 
-    shapes = _STRATUM_SHAPES[stratum]
+    shapes = formulas._STRATA[stratum].shapes
     shape = rng.choices(shapes, [1.0] * len(shapes))[0] if len(shapes) > 1 else shapes[0]
     positive = stratum in ("positive", "positive-real")
     bound = formulas._SERIES_BOUND
@@ -316,7 +316,7 @@ def test_draw_primitives_match_the_stdlib(monkeypatch):
     ops = [(lambda r, n=n: formulas._below(r.getrandbits, n), lambda r, n=n: r.randrange(n)) for n in range(1, 7)]
     ops.append((lambda r: 1 + formulas._below(r.getrandbits, 3), lambda r: r.randint(1, 3)))
     for stratum in STRATA:
-        shapes = _STRATUM_SHAPES[stratum]
+        shapes = formulas._STRATA[stratum].shapes
         if len(shapes) == 1:  # drawn without a pick
             continue
         ops.append((formulas._drawer(stratum, field.DEFAULT_CONFIG),
@@ -359,8 +359,23 @@ def test_stratum_contains_truth_table(text):
     u = field.parse_lc(text.replace("1/eps", "eps^-1"))
     assert {s for s in STRATA if stratum_contains(u, s)} == _MEMBERS[text]
     if not u.is_zero:
-        with pytest.raises(ValueError):
-            stratum_contains(u, "bogus")
+        for lookup in (partial(stratum_contains, u), sample):
+            with pytest.raises(ValueError, match="unknown stratum 'bogus'"):
+                lookup("bogus")
+
+
+@pytest.mark.parametrize("stratum", STRATA)
+def test_stratum_row_matches_its_probes_and_draws(stratum):
+    # A row's classifications are exactly those of the stratum's coverage
+    # probes and 2,000 seeded draws, the draws giving every one but zero;
+    # the row is positive exactly when every such value has a positive lead.
+    rng = random.Random(23)
+    probes = formulas._coverage_values(stratum, field.DEFAULT_CONFIG)
+    draws = [sample(stratum, SamplerConfig(), rng) for _ in range(2000)]
+    row = formulas._STRATA[stratum]
+    assert {field.classify(u) for u in probes + draws} == row.kinds
+    assert {field.classify(u) for u in draws} == row.kinds - {field.Classification.ZERO}
+    assert all(not u.is_zero and u.leading_coefficient > 0 for u in probes + draws) is row.positive
 
 
 # -- checking -----------------------------------------------------------------------
