@@ -536,21 +536,18 @@ def sqrt(a: LCNumber) -> LCNumber:
     return nth_root(a, 2)
 
 
-_END = (math.inf, 0.0)  # past the last pair of an operand in compare()'s walk
-
-
 def compare(a: LCNumber, b: LCNumber) -> int:
     """Return LESS/EQUAL/GREATER; equality is coefficientwise within eq_tol.
 
-    The order is decided by the sign of the leading coefficient of the
-    normalized difference a - b, computed here without building the series:
-    one merge walk over the two sorted pair tuples, which returns at the
-    first kept order whose difference exceeds eq_tol, and decides EQUAL at
-    the end of the leading order's depth window.  Most pairs are decided
-    by their leading terms alone, so those are read first, before the
-    operands are brought to one lattice: when the leading difference
-    exceeds eq_tol (>= zero_tol) it is the walk's first kept order, and its
-    sign is the walk's answer.
+    The order is the sign of the leading coefficient of the difference
+    a - b.  Most pairs are decided by their leading terms alone, so those
+    are read first, before the operands are brought to one lattice: when the
+    leading difference exceeds eq_tol (>= zero_tol) it is the difference's
+    leading kept order, and its sign is the answer.  Otherwise the whole
+    difference is taken on the common lattice, without the max_terms cap
+    that sub() applies, and its orders above zero_tol are sorted: the first
+    gives the sign, and the pair is EQUAL unless some kept order within
+    depth of it exceeds eq_tol.
     """
     config = _require_same_config(a, b)
     zt, tol = config.zero_tol, config.eq_tol
@@ -564,32 +561,13 @@ def compare(a: LCNumber, b: LCNumber) -> int:
     if (d if d >= 0 else -d) > tol:
         return GREATER if d > 0 else LESS
     den, pa, pb = _aligned(a, b)
-    ia, ib = iter(pa), iter(pb)
-    ka, ca = next(ia, _END)
-    kb, cb = next(ib, _END)
-    sign, limit = None, math.inf
-    while True:
-        if ka < kb:
-            k, c = ka, ca
-            ka, ca = next(ia, _END)
-        elif kb < ka:
-            k, c = kb, -cb
-            kb, cb = next(ib, _END)
-        elif ka is math.inf:
-            return EQUAL
-        else:
-            k, c = ka, ca - cb
-            ka, ca = next(ia, _END)
-            kb, cb = next(ib, _END)
-        if k > limit:
-            return EQUAL
-        size = c if c >= 0 else -c
-        if not size > zt:
-            continue
-        if sign is None:
-            sign, limit = c, k + config.depth * den
-        if size > tol:
-            return GREATER if sign > 0 else LESS
+    diff = dict(pa)
+    for k, c in pb:
+        diff[k] = diff.get(k, 0.0) - c
+    kept = sorted((k, c) for k, c in diff.items() if abs(c) > zt)
+    if kept and any(abs(c) > tol for k, c in kept if k <= kept[0][0] + config.depth * den):
+        return GREATER if kept[0][1] > 0 else LESS
+    return EQUAL
 
 
 def project_reals(values: dict, reals: dict) -> "dict | None":

@@ -427,9 +427,6 @@ class CheckReport:
         return out
 
 
-_REALS = object()  # a sample's own float projection, kept in its scope
-
-
 def _bind(binding, eps_value) -> tuple:
     """The field binding with the eps literal bound, and the same binding
     projected to floats when every value is real (else None) for the cheap
@@ -620,7 +617,7 @@ def _with_sum(pools, total):
     return [(u, *rest) for i, u in enumerate(pools[0][:total + 1]) for rest in _with_sum(pools[1:], total - i)]
 
 
-def _eval_blocks(game: _Game, blocks, binding, inside_exists, batch=None):
+def _eval_blocks(game: _Game, blocks, binding, batch=None):
     """Recursive game evaluation.  Returns (truth, info) where info carries
     the interesting assignment: a counterexample path for a failing forall,
     or the witness values for a succeeding exists.
@@ -630,7 +627,10 @@ def _eval_blocks(game: _Game, blocks, binding, inside_exists, batch=None):
     exists, false for a forall.  ``batch`` is the list an existential entry
     gives the universal block under it, so that every witness candidate is
     verified against the same drawn forall batch, and the sides cached per
-    sample are computed once.
+    sample are computed once.  A universal block draws ``samples``
+    assignments at the root and ``nested_samples`` under an existential
+    block; blocks alternate in kind, so it is nested exactly when its
+    parent gave it a ``batch``.
     """
     (kind, quants), rest = blocks[0], blocks[1:]
     exists = kind == "exists"
@@ -644,13 +644,13 @@ def _eval_blocks(game: _Game, blocks, binding, inside_exists, batch=None):
         combos = itertools.islice(_diagonals(streams, [pool] * len(quants)), pool * len(quants))
         pairs = ((dict(zip(names, combo)), {}) for combo in combos)
     else:
-        n = game.cfg.nested_samples if inside_exists else game.cfg.samples
+        n = game.cfg.nested_samples if batch is not None else game.cfg.samples
         pairs = _forall_assignments(quants, n, game)
         if batch is not None:
             if not batch:
                 batch.extend(pairs)
             pairs = batch
-    descend = _descend(game, rest, binding, inside_exists or exists, [] if exists else None)
+    descend = _descend(game, rest, binding, [] if exists else None)
     for assignment, scope in pairs:
         truth, info = descend(assignment, scope)
         if truth == exists:
@@ -658,14 +658,14 @@ def _eval_blocks(game: _Game, blocks, binding, inside_exists, batch=None):
     return not exists, {}
 
 
-def _descend(game: _Game, rest, binding, inside_exists, batch=None):
+def _descend(game: _Game, rest, binding, batch=None):
     """The evaluation of the blocks after the current one, as a function of
     an assignment of the current block made under ``binding`` and the
     assignment's scope.  With no blocks left it evaluates the matrix; a
     formula without quantifiers is that one evaluation, of the empty
     assignment."""
     if rest:
-        return lambda assignment, scope: _eval_blocks(game, rest, {**binding, **assignment}, inside_exists, batch)
+        return lambda assignment, scope: _eval_blocks(game, rest, {**binding, **assignment}, batch)
     # The innermost block: a new outer binding, so the outer scope is
     # emptied, and its eps entry and real projection are built once for
     # the whole loop.  ``binding`` itself stays free of eps, since the
@@ -678,11 +678,7 @@ def _descend(game: _Game, rest, binding, inside_exists, batch=None):
     def evaluate(assignment, scope):
         game.evaluations += 1
         scopes[1] = scope
-        reals = None
-        if outer_reals is not None:
-            own = scope[_REALS] if _REALS in scope else scope.setdefault(_REALS, field.project_reals(assignment, {}))
-            if own is not None:
-                reals = {**outer_reals, **own}
+        reals = None if outer_reals is None else field.project_reals(assignment, {**outer_reals})
         return holds({**outer, **assignment}, reals), {}
 
     return evaluate
@@ -701,7 +697,7 @@ def check(formula: Formula, cfg: "SamplerConfig | None" = None,
     cfg = cfg or SamplerConfig()
     game = _Game(formula, cfg, config)
     blocks = game.blocks
-    truth, info = _descend(game, blocks, {}, False)({}, {})
+    truth, info = _descend(game, blocks, {})({}, {})
 
     has_exists = any(kind == "exists" for kind, _ in blocks)
     root_exists = bool(blocks) and blocks[0][0] == "exists"

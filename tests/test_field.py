@@ -212,6 +212,11 @@ def test_compare_walk_matches_reference():
     rng = random.Random(0)
     for config, n in ((CFG, 3000), (narrow, 3000), (coarse, 1000)):
         cases.extend(_compare_corpus(rng, config, n))
+    # The difference keeps five orders, more than max_terms: the first three
+    # are within eq_tol and the fourth exceeds it, so a difference capped at
+    # max_terms (as sub() caps it) would read EQUAL.
+    cases.append((field.from_lattice(2, {0: 1.0005, 1: 5e-4, 2: 1.0}, narrow),
+                  field.from_lattice(3, {0: 1.0, 1: 5e-4, 2: 1.0}, narrow)))
     cases.extend(at_zt)
     outcomes = set()
     for a, b in cases:

@@ -438,6 +438,18 @@ def test_existential_block_searches_jointly():
         assert evaluate_matrix(f.matrix, rep.witness) is True
 
 
+def test_universal_budget_follows_block_position():
+    # A universal block draws `samples` at the root and `nested_samples`
+    # under an existential block; each witness here is the first candidate.
+    cfg = SamplerConfig(samples=7, nested_samples=3, seed=0)
+    used = [check(parse_formula(src), cfg).samples_used for src in (
+        "forall z: real. z = z",
+        "exists y: real, forall z: real. z = z",
+        "forall x: real, exists y: real, forall z: real. z = z",
+        "forall x: real, exists y: real, forall z: real, exists w: real, forall v: real. v = v")]
+    assert used == [7, 3, 21, 63]
+
+
 def test_diagonals_cover_the_product_by_rank_sum():
     assert list(formulas._diagonals([iter(range(2)), iter(range(3))], [2, 3])) == [
         (0, 0), (0, 1), (1, 0), (0, 2), (1, 1), (1, 2)]
