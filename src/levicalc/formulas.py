@@ -292,13 +292,16 @@ def _below(bits, n: int) -> int:
     return r
 
 
-def _draw_coef(rand, lo: float, hi: float, positive: bool) -> float:
+def _draw_coef(rand, lo: float, hi: float, positive: bool, zero_tol: float) -> float:
     """Uniform on [lo, hi] by ``uniform``'s formula on ``rand``, a
-    generator's ``random``, drawn again until its magnitude is at least 0.05."""
+    generator's ``random``, drawn again until its magnitude is at least 0.05
+    and above zero_tol, so that normalization keeps it as the lead and the
+    value stays in its stratum."""
     while True:
         c = lo + (hi - lo) * rand()
-        if abs(c) >= 0.05:
-            return abs(c) if positive else c
+        m = abs(c)
+        if m >= 0.05 and m > zero_tol:
+            return m if positive else c
 
 
 def _draw_exponent(bits) -> tuple:
@@ -325,18 +328,24 @@ def _draw_terms(rng, lead_exp, lead, config):
     return field.from_lattice(den, acc, config)
 
 
+def _draw_real(rng: random.Random, config: FieldConfig, positive: bool) -> LCNumber:
+    """A ``real``-shaped draw: its coefficient on _COEF_RANGE, made a field
+    value in one call (the coefficient is above zero_tol)."""
+    return field.nonzero_real(_draw_coef(rng.random, *_COEF_RANGE, positive, config.zero_tol), config)
+
+
 def _sample_shape(shape: str, rng: random.Random, config: FieldConfig, positive: bool) -> LCNumber:
     if shape == "real":
-        return LCNumber.from_real(_draw_coef(rng.random, *_COEF_RANGE, positive), config)
+        return _draw_real(rng, config, positive)
     if shape == "infinitesimal":
-        lead = _draw_coef(rng.random, -_SERIES_BOUND, _SERIES_BOUND, positive)
+        lead = _draw_coef(rng.random, -_SERIES_BOUND, _SERIES_BOUND, positive, config.zero_tol)
         return _draw_terms(rng, _draw_exponent(rng.getrandbits), lead, config)
     if shape == "infinite":
-        lead = _draw_coef(rng.random, -_SERIES_BOUND, _SERIES_BOUND, positive)
+        lead = _draw_coef(rng.random, -_SERIES_BOUND, _SERIES_BOUND, positive, config.zero_tol)
         num, den = _draw_exponent(rng.getrandbits)
         return _draw_terms(rng, (-num, den), lead, config)
     if shape == "mixed":
-        return _draw_terms(rng, (0, 1), _draw_coef(rng.random, *_COEF_RANGE, positive), config)
+        return _draw_terms(rng, (0, 1), _draw_coef(rng.random, *_COEF_RANGE, positive, config.zero_tol), config)
     raise ValueError(f"unknown shape '{shape}'")
 
 
@@ -373,6 +382,14 @@ def _drawer(stratum: str, config: FieldConfig):
     with cumulative weights 1, 2, ..., n returns from the same one draw
     (``random.choice`` draws differently)."""
     shapes, _, positive = _stratum(stratum)
+    # A drawn lead must clear zero_tol; where its range cannot, the redraw
+    # would never end.
+    bound = min(_SERIES_BOUND if s in ("infinitesimal", "infinite") else max(map(abs, _COEF_RANGE)) for s in shapes)
+    if not bound > config.zero_tol:
+        raise ValueError(f"zero_tol {config.zero_tol:g} leaves no leading coefficient in "
+                         f"[-{bound:g}, {bound:g}] to draw for stratum '{stratum}'")
+    if shapes == ("real",):
+        return lambda rng: _draw_real(rng, config, positive)
     if len(shapes) == 1:
         return partial(_sample_shape, shapes[0], config=config, positive=positive)
     n = len(shapes)
@@ -568,16 +585,20 @@ class _Game:
 def _forall_assignments(quants, n, game: _Game):
     """Coverage probes (a deterministic product over per-variable probe lists,
     capped at half the budget) followed by joint random draws, n in total.
-    Each assignment comes with a scope of its own for the cached sides."""
+    Each assignment comes with its float projection (``project_reals``,
+    None unless every value is real), made once when it is drawn, and a
+    scope of its own for the cached sides."""
     names = [q.var for q in quants]
     produced = 0
     for combo in itertools.islice(itertools.product(*[game.probes[q.stratum] for q in quants]),
                                   max(1, n // 2)):
-        yield dict(zip(names, combo)), {}
+        assignment = dict(zip(names, combo))
+        yield assignment, field.project_reals(assignment, {}), {}
         produced += 1
     rng, draws = game.rng, [(q.var, game.draw[q.stratum]) for q in quants]
     for _ in range(n - produced):
-        yield {name: draw(rng) for name, draw in draws}, {}
+        assignment = {name: draw(rng) for name, draw in draws}
+        yield assignment, field.project_reals(assignment, {}), {}
 
 
 def _witness_candidates(quant, binding, game: _Game):
@@ -622,15 +643,17 @@ def _eval_blocks(game: _Game, blocks, binding, batch=None):
     the interesting assignment: a counterexample path for a failing forall,
     or the witness values for a succeeding exists.
 
-    Both kinds of block walk a stream of (assignment, scope) pairs and stop
-    at the first whose truth is the block's deciding value: true for an
-    exists, false for a forall.  ``batch`` is the list an existential entry
-    gives the universal block under it, so that every witness candidate is
-    verified against the same drawn forall batch, and the sides cached per
-    sample are computed once.  A universal block draws ``samples``
-    assignments at the root and ``nested_samples`` under an existential
-    block; blocks alternate in kind, so it is nested exactly when its
-    parent gave it a ``batch``.
+    Both kinds of block walk a stream of (assignment, reals, scope) triples
+    (the assignment, its float projection and its scope) and stop at the
+    first whose truth is the block's deciding value: true for an exists,
+    false for a forall.  ``batch`` is the list an existential entry gives
+    the universal block under it, so that every witness candidate is
+    verified against the same drawn forall batch, and the projections and
+    the sides cached per sample are computed once.  A universal block draws
+    ``samples`` assignments at the root and ``nested_samples`` under an
+    existential block; blocks alternate in kind, so it is nested exactly
+    when its parent gave it a ``batch``.  A block with no variables (a
+    formula without quantifiers) has one assignment, the empty one.
     """
     (kind, quants), rest = blocks[0], blocks[1:]
     exists = kind == "exists"
@@ -642,46 +665,39 @@ def _eval_blocks(game: _Game, blocks, binding, batch=None):
         pool = game.cfg.witness_pool
         streams = [_witness_candidates(q, binding, game) for q in quants]
         combos = itertools.islice(_diagonals(streams, [pool] * len(quants)), pool * len(quants))
-        pairs = ((dict(zip(names, combo)), {}) for combo in combos)
+        assignments = (dict(zip(names, combo)) for combo in combos)
+        triples = ((a, field.project_reals(a, {}), {}) for a in assignments)
+    elif not quants:  # a formula without quantifiers
+        triples = [({}, {}, {})]
     else:
         n = game.cfg.nested_samples if batch is not None else game.cfg.samples
-        pairs = _forall_assignments(quants, n, game)
+        triples = _forall_assignments(quants, n, game)
         if batch is not None:
             if not batch:
-                batch.extend(pairs)
-            pairs = batch
-    descend = _descend(game, rest, binding, [] if exists else None)
-    for assignment, scope in pairs:
-        truth, info = descend(assignment, scope)
-        if truth == exists:
-            return truth, {**assignment, **info}
-    return not exists, {}
-
-
-def _descend(game: _Game, rest, binding, batch=None):
-    """The evaluation of the blocks after the current one, as a function of
-    an assignment of the current block made under ``binding`` and the
-    assignment's scope.  With no blocks left it evaluates the matrix; a
-    formula without quantifiers is that one evaluation, of the empty
-    assignment."""
+                batch.extend(triples)
+            triples = batch
     if rest:
-        return lambda assignment, scope: _eval_blocks(game, rest, {**binding, **assignment}, batch)
-    # The innermost block: a new outer binding, so the outer scope is
-    # emptied, and its eps entry and real projection are built once for
-    # the whole loop.  ``binding`` itself stays free of eps, since the
-    # witness candidates are drawn from its values.
+        replayed = [] if exists else None  # the batch every witness candidate replays
+        for assignment, _, _ in triples:
+            truth, info = _eval_blocks(game, rest, {**binding, **assignment}, replayed)
+            if truth == exists:
+                return truth, {**assignment, **info}
+        return not exists, {}
+    # The innermost block runs the matrix itself.  A new outer binding, so
+    # the outer scope is emptied, and its eps entry and float projection
+    # are built once for the whole loop.  ``binding`` itself stays free of
+    # eps, since the witness candidates are drawn from its values.
     scopes = game.scopes
     scopes[0] = {}
     outer, outer_reals = _bind(binding, game.eps)
     holds = game.holds
-
-    def evaluate(assignment, scope):
+    for assignment, reals, scope in triples:
         game.evaluations += 1
         scopes[1] = scope
-        reals = None if outer_reals is None else field.project_reals(assignment, {**outer_reals})
-        return holds({**outer, **assignment}, reals), {}
-
-    return evaluate
+        both = None if outer_reals is None or reals is None else {**outer_reals, **reals}
+        if holds({**outer, **assignment}, both) == exists:
+            return exists, dict(assignment)
+    return not exists, {}
 
 
 def check(formula: Formula, cfg: "SamplerConfig | None" = None,
@@ -697,7 +713,7 @@ def check(formula: Formula, cfg: "SamplerConfig | None" = None,
     cfg = cfg or SamplerConfig()
     game = _Game(formula, cfg, config)
     blocks = game.blocks
-    truth, info = _descend(game, blocks, {})({}, {})
+    truth, info = _eval_blocks(game, blocks or [("forall", [])], {})
 
     has_exists = any(kind == "exists" for kind, _ in blocks)
     root_exists = bool(blocks) and blocks[0][0] == "exists"

@@ -328,6 +328,47 @@ def test_draw_primitives_match_the_stdlib(monkeypatch):
     assert rng.getstate() == ref.getstate()
 
 
+def test_coarse_zero_tol_keeps_draws_in_their_strata():
+    # A lead at or below zero_tol would be dropped by normalization, leaving
+    # 0 in a stratum that excludes it; the sampler draws such a lead again.
+    coarse = field.FieldConfig(zero_tol=0.2, eq_tol=0.2)
+    rng = random.Random(5)
+    for stratum in STRATA:
+        for _ in range(2_000):
+            u = sample(stratum, rng=rng, config=coarse)
+            assert stratum_contains(u, stratum), (stratum, str(u))
+    for src in ("forall x: positive-real. 0 < x", "forall x: positive. 0 < x"):
+        assert check(parse_formula(src), SamplerConfig(seed=5), coarse).verdict == "not-falsified", src
+
+
+@pytest.mark.parametrize("zero_tol, stratum", [(2.0, "infinitesimal"), (3.0, "positive"), (3.0, "any"),
+                                               (10.0, "real"), (10.0, "positive-real")])
+def test_lead_range_within_zero_tol_is_rejected(zero_tol, stratum):
+    # No lead of the shape's range clears zero_tol: one ValueError when the
+    # drawer is built, never an endless redraw.
+    config = field.FieldConfig(zero_tol=zero_tol, eq_tol=zero_tol)
+    with pytest.raises(ValueError, match="zero_tol"):
+        sample(stratum, config=config)
+    with pytest.raises(ValueError, match="zero_tol"):
+        check(parse_formula(f"forall x: {stratum}. x = x"), SamplerConfig(samples=5), config)
+
+
+@pytest.mark.parametrize("stratum", ["real", "positive-real"])
+@pytest.mark.parametrize("config", [field.DEFAULT_CONFIG, field.FieldConfig(zero_tol=0.2, eq_tol=0.2)],
+                         ids=["default", "coarse"])
+def test_drawn_reals_are_from_real_values(stratum, config):
+    # A real draw builds its value in one call: it must be the value
+    # from_real makes of the same coefficient, with the same RNG calls.
+    positive = formulas._STRATA[stratum].positive
+    draw, rng, twin = formulas._drawer(stratum, config), random.Random(23), random.Random(23)
+    for _ in range(2_000):
+        u = draw(rng)
+        c = formulas._draw_coef(twin.random, *formulas._COEF_RANGE, positive, config.zero_tol)
+        v = field.LCNumber.from_real(c, config)
+        assert (u._den, u._pairs, u.config) == (v._den, v._pairs, v.config)
+    assert rng.getstate() == twin.getstate()
+
+
 def test_sample_specific_contracts():
     cfg = SamplerConfig(seed=3)
     rng = random.Random(4)
@@ -565,6 +606,19 @@ def test_hoisted_sides_are_computed_once_per_innermost_loop(monkeypatch):
         plain(binding, reals)
     assert sum(key[0] in squares for key in calls) > 2 * len(per_sample)
     assert sum(key[0] == id(delta_low) for key in calls) > 10 * len(hoisted)
+
+
+def test_each_sample_is_projected_once(monkeypatch):
+    # continuity.fof line 3: every witness candidate d replays the drawn x
+    # batch, so projecting each evaluation's sample would make more calls
+    # than there are evaluations; projecting each sample when it is drawn
+    # makes fewer.
+    formula = parse_formula_file((FORMULA_DIR / "continuity.fof").read_text())[0][2]
+    project, calls = field.project_reals, []
+    monkeypatch.setattr(field, "project_reals", lambda values, reals: calls.append(1) or project(values, reals))
+    report = check(formula, SamplerConfig(samples=300, seed=5)).to_json()
+    assert report == json.loads(GOLDEN_REPORTS.read_text())["continuity.fof:3:5"]
+    assert 0 < len(calls) < report["samples_used"]
 
 
 def _uncached(monkeypatch):
