@@ -322,13 +322,6 @@ def from_lattice(den: int, coefs: dict, config: FieldConfig = DEFAULT_CONFIG) ->
     return _lc(*_reduced(den, _settle(coefs, den, config)), config)
 
 
-def nonzero_real(c: float, config: FieldConfig = DEFAULT_CONFIG) -> LCNumber:
-    """The real c, for a float c with |c| > config.zero_tol: the value
-    ``LCNumber.from_real(c, config)`` gives, without its zero test.  The
-    precondition is not checked."""
-    return _lc(1, ((0, c),), config)
-
-
 def zero(config: FieldConfig = DEFAULT_CONFIG) -> LCNumber:
     return _lc(1, (), config)
 

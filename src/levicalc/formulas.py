@@ -26,7 +26,7 @@ import math
 import random
 from collections import namedtuple
 from dataclasses import dataclass
-from functools import lru_cache, partial
+from functools import lru_cache
 from typing import Mapping
 
 from . import field
@@ -328,15 +328,9 @@ def _draw_terms(rng, lead_exp, lead, config):
     return field.from_lattice(den, acc, config)
 
 
-def _draw_real(rng: random.Random, config: FieldConfig, positive: bool) -> LCNumber:
-    """A ``real``-shaped draw: its coefficient on _COEF_RANGE, made a field
-    value in one call (the coefficient is above zero_tol)."""
-    return field.nonzero_real(_draw_coef(rng.random, *_COEF_RANGE, positive, config.zero_tol), config)
-
-
 def _sample_shape(shape: str, rng: random.Random, config: FieldConfig, positive: bool) -> LCNumber:
     if shape == "real":
-        return _draw_real(rng, config, positive)
+        return LCNumber.from_real(_draw_coef(rng.random, *_COEF_RANGE, positive, config.zero_tol), config)
     if shape == "infinitesimal":
         lead = _draw_coef(rng.random, -_SERIES_BOUND, _SERIES_BOUND, positive, config.zero_tol)
         return _draw_terms(rng, _draw_exponent(rng.getrandbits), lead, config)
@@ -380,7 +374,14 @@ def _drawer(stratum: str, config: FieldConfig):
     stratum's shapes and sign resolved once.  A composite stratum picks its
     shape as ``shapes[int(random() * n)]``, the index that ``random.choices``
     with cumulative weights 1, 2, ..., n returns from the same one draw
-    (``random.choice`` draws differently)."""
+    (``random.choice`` draws differently).
+
+    A lead is drawn again until it clears ``max(0.05, zero_tol)``, about
+    ``bound / (bound - max(0.05, zero_tol))`` times on average, where
+    ``bound`` is the lead range's half-width (10 for an exponent-0 lead,
+    ``_SERIES_BOUND`` 2 for a series).  So the sampler slows without limit
+    as ``zero_tol`` approaches a bound, and a ``zero_tol`` at or past it
+    raises ``ValueError`` here."""
     shapes, _, positive = _stratum(stratum)
     # A drawn lead must clear zero_tol; where its range cannot, the redraw
     # would never end.
@@ -388,10 +389,9 @@ def _drawer(stratum: str, config: FieldConfig):
     if not bound > config.zero_tol:
         raise ValueError(f"zero_tol {config.zero_tol:g} leaves no leading coefficient in "
                          f"[-{bound:g}, {bound:g}] to draw for stratum '{stratum}'")
-    if shapes == ("real",):
-        return lambda rng: _draw_real(rng, config, positive)
     if len(shapes) == 1:
-        return partial(_sample_shape, shapes[0], config=config, positive=positive)
+        shape = shapes[0]
+        return lambda rng: _sample_shape(shape, rng, config, positive)
     n = len(shapes)
     return lambda rng: _sample_shape(shapes[int(rng.random() * n)], rng, config, positive)
 
@@ -582,23 +582,23 @@ class _Game:
         self.evaluations = 0
 
 
-def _forall_assignments(quants, n, game: _Game):
+def _forall_assignments(quants, n, game: _Game, project: bool):
     """Coverage probes (a deterministic product over per-variable probe lists,
     capped at half the budget) followed by joint random draws, n in total.
     Each assignment comes with its float projection (``project_reals``,
-    None unless every value is real), made once when it is drawn, and a
-    scope of its own for the cached sides."""
+    None unless every value is real; made once when it is drawn, and only
+    if ``project``, else None) and a scope of its own for the cached sides."""
     names = [q.var for q in quants]
     produced = 0
     for combo in itertools.islice(itertools.product(*[game.probes[q.stratum] for q in quants]),
                                   max(1, n // 2)):
         assignment = dict(zip(names, combo))
-        yield assignment, field.project_reals(assignment, {}), {}
+        yield assignment, field.project_reals(assignment, {}) if project else None, {}
         produced += 1
     rng, draws = game.rng, [(q.var, game.draw[q.stratum]) for q in quants]
     for _ in range(n - produced):
         assignment = {name: draw(rng) for name, draw in draws}
-        yield assignment, field.project_reals(assignment, {}), {}
+        yield assignment, field.project_reals(assignment, {}) if project else None, {}
 
 
 def _witness_candidates(quant, binding, game: _Game):
@@ -644,7 +644,8 @@ def _eval_blocks(game: _Game, blocks, binding, batch=None):
     or the witness values for a succeeding exists.
 
     Both kinds of block walk a stream of (assignment, reals, scope) triples
-    (the assignment, its float projection and its scope) and stop at the
+    (the assignment, its float projection and its scope; only the innermost
+    block reads the projection, so only it makes one) and stop at the
     first whose truth is the block's deciding value: true for an exists,
     false for a forall.  ``batch`` is the list an existential entry gives
     the universal block under it, so that every witness candidate is
@@ -656,7 +657,7 @@ def _eval_blocks(game: _Game, blocks, binding, batch=None):
     formula without quantifiers) has one assignment, the empty one.
     """
     (kind, quants), rest = blocks[0], blocks[1:]
-    exists = kind == "exists"
+    exists, project = kind == "exists", not rest
     if exists:
         # Candidates per variable, first distinguished then random, walked
         # jointly by rank sum within pool * len(quants) tries; each is drawn
@@ -666,12 +667,12 @@ def _eval_blocks(game: _Game, blocks, binding, batch=None):
         streams = [_witness_candidates(q, binding, game) for q in quants]
         combos = itertools.islice(_diagonals(streams, [pool] * len(quants)), pool * len(quants))
         assignments = (dict(zip(names, combo)) for combo in combos)
-        triples = ((a, field.project_reals(a, {}), {}) for a in assignments)
+        triples = ((a, field.project_reals(a, {}) if project else None, {}) for a in assignments)
     elif not quants:  # a formula without quantifiers
         triples = [({}, {}, {})]
     else:
         n = game.cfg.nested_samples if batch is not None else game.cfg.samples
-        triples = _forall_assignments(quants, n, game)
+        triples = _forall_assignments(quants, n, game, project)
         if batch is not None:
             if not batch:
                 batch.extend(triples)

@@ -353,6 +353,20 @@ def test_lead_range_within_zero_tol_is_rejected(zero_tol, stratum):
         check(parse_formula(f"forall x: {stratum}. x = x"), SamplerConfig(samples=5), config)
 
 
+@pytest.mark.parametrize("zero_tol, stratum", [(1.98, "infinitesimal"), (1.98, "positive"), (1.98, "any"),
+                                               (9.9, "real"), (9.9, "positive-real")])
+def test_lead_range_just_past_zero_tol_still_draws(zero_tol, stratum):
+    # One lead in a hundred clears zero_tol: the redraw is slow but ends, and
+    # every draw keeps a lead above zero_tol in its stratum.
+    config = field.FieldConfig(zero_tol=zero_tol, eq_tol=zero_tol)
+    rng = random.Random(11)
+    for _ in range(200):
+        u = sample(stratum, rng=rng, config=config)
+        assert stratum_contains(u, stratum) and abs(u.leading_coefficient) > zero_tol, str(u)
+    report = check(parse_formula(f"forall x: {stratum}. x = x"), SamplerConfig(samples=20), config)
+    assert report.verdict == "not-falsified"
+
+
 @pytest.mark.parametrize("stratum", ["real", "positive-real"])
 @pytest.mark.parametrize("config", [field.DEFAULT_CONFIG, field.FieldConfig(zero_tol=0.2, eq_tol=0.2)],
                          ids=["default", "coarse"])
