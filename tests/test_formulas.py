@@ -253,6 +253,15 @@ def test_sampler_rejects_empty_budget(budget):
         SamplerConfig(**{budget: 0})
 
 
+@pytest.mark.parametrize("budget", ["samples", "witness_pool", "nested_samples"])
+def test_sampler_rejects_budget_that_is_not_an_int(budget):
+    # A float budget would fail inside the sampler (range, islice), and
+    # nan passed the >= 1 test; each is one ValueError naming the field.
+    for value in (2.5, 3.0, float("nan"), "3", True):
+        with pytest.raises(ValueError, match=f"^{budget} must be an int >= 1"):
+            SamplerConfig(**{budget: value})
+
+
 def _reference_sample(stratum, rng, config):
     """The sampler built the plain way: Fraction exponents, normalized by
     the LCNumber constructor, with the same random draws in the same order."""
@@ -381,6 +390,35 @@ def test_drawn_reals_are_from_real_values(stratum, config):
         v = field.LCNumber.from_real(c, config)
         assert (u._den, u._pairs, u.config) == (v._den, v._pairs, v.config)
     assert rng.getstate() == twin.getstate()
+
+
+@pytest.mark.parametrize("config", [field.DEFAULT_CONFIG,
+                                    field.FieldConfig(depth=1, max_terms=2, zero_tol=0.01, eq_tol=0.01)],
+                         ids=["default", "narrow"])
+@pytest.mark.parametrize("prefix", ["forall x: real", "forall x: positive-real", "forall x: finite",
+                                    "forall x: real, forall y: positive-real", "forall x: finite, forall y: real"])
+def test_forall_batch_matches_drawing_each_variable(prefix, config):
+    # A universal block's random part draws each variable in turn, as
+    # sample() does from the same generator: the same values, the
+    # projection project_reals gives, a fresh scope per sample and the same
+    # final RNG state.
+    formula = parse_formula(prefix + ". x = x")
+    game = formulas._Game(formula, SamplerConfig(), config)
+    game.rng, twin = random.Random(31), random.Random(31)
+    quants, n = formula.prefix, 400
+    triples = list(formulas._forall_assignments(quants, n, game, True))
+    probes = len(list(itertools.product(*[game.probes[q.stratum] for q in quants])))
+    assert len(triples) == n and probes < n // 2
+    for assignment, reals, scope in triples[probes:]:
+        want = {q.var: sample(q.stratum, rng=twin, config=config) for q in quants}
+        assert list(assignment) == list(want)
+        for name, u in assignment.items():
+            assert (u._den, u._pairs, u.config) == (want[name]._den, want[name]._pairs, config), str(u)
+        projected = field.project_reals(want, {})
+        assert reals == projected and (reals is None or list(reals) == list(projected))
+        assert scope == {}
+    assert len({id(scope) for _, _, scope in triples}) == n
+    assert game.rng.getstate() == twin.getstate()
 
 
 def test_sample_specific_contracts():
