@@ -23,10 +23,11 @@ from __future__ import annotations
 
 import itertools
 import math
+import numbers
 import random
 from collections import namedtuple
 from dataclasses import dataclass
-from functools import lru_cache, partial
+from functools import lru_cache
 from typing import Mapping
 
 from . import field
@@ -267,7 +268,7 @@ class SamplerConfig:
     nested_samples draws for a universal block nested under an existential
                    one (witness verification budget)
 
-    The three budgets must be ints of at least 1: a verdict needs
+    The three budgets must be integers of at least 1: a verdict needs
     evaluations, and the sampler counts them.
     """
 
@@ -279,8 +280,8 @@ class SamplerConfig:
     def __post_init__(self):
         for name in ("samples", "witness_pool", "nested_samples"):
             value = getattr(self, name)
-            if type(value) is not int or value < 1:
-                raise ValueError(f"{name} must be an int >= 1, got {value!r}")
+            if isinstance(value, bool) or not isinstance(value, numbers.Integral) or value < 1:
+                raise ValueError(f"{name} must be an integer >= 1, got {value!r}")
 
 
 def _below(bits, n: int) -> int:
@@ -318,11 +319,9 @@ def _draw_terms(rng, lead_exp, lead, config):
     1/(den * lcm of the drawn denominators) and normalized as LCNumber is."""
     lead_num, lead_den = lead_exp
     bits = rng.getrandbits
-    n = _below(bits, 3)
-    if not n:  # one draw in three: the lead alone
-        return field.from_lattice(lead_den, {lead_num: lead}, config)
     cap = 0.5 * min(abs(lead), 1.0)
-    tail = [(_draw_exponent(bits), -cap + (cap + cap) * rng.random()) for _ in range(n)]  # uniform(-cap, cap)
+    tail = [(_draw_exponent(bits), -cap + (cap + cap) * rng.random())  # uniform(-cap, cap)
+            for _ in range(_below(bits, 3))]
     step = math.lcm(*[den for (_, den), _ in tail])
     den, k0 = lead_den * step, lead_num * step
     acc = {k0: lead}
@@ -332,34 +331,24 @@ def _draw_terms(rng, lead_exp, lead, config):
     return field.from_lattice(den, acc, config)
 
 
-# One draw per shape, each a function of (config, positive, rng), so that a
-# positional partial binds a stratum's first two.  A real draw gives its one
-# coefficient, which is also its float projection; the others give the value.
 def _draw_real(config: FieldConfig, positive: bool, rng: random.Random) -> float:
+    """A real draw's one coefficient, which is also its float projection."""
     return _draw_coef(rng.random, *_COEF_RANGE, positive, config.zero_tol)
 
 
-def _draw_infinitesimal(config: FieldConfig, positive: bool, rng: random.Random) -> LCNumber:
-    lead = _draw_coef(rng.random, -_SERIES_BOUND, _SERIES_BOUND, positive, config.zero_tol)
-    return _draw_terms(rng, _draw_exponent(rng.getrandbits), lead, config)
-
-
-def _draw_infinite(config: FieldConfig, positive: bool, rng: random.Random) -> LCNumber:
-    lead = _draw_coef(rng.random, -_SERIES_BOUND, _SERIES_BOUND, positive, config.zero_tol)
-    num, den = _draw_exponent(rng.getrandbits)
-    return _draw_terms(rng, (-num, den), lead, config)
-
-
-def _draw_mixed(config: FieldConfig, positive: bool, rng: random.Random) -> LCNumber:
-    return _draw_terms(rng, (0, 1), _draw_coef(rng.random, *_COEF_RANGE, positive, config.zero_tol), config)
-
-
-_SHAPES = {"real": lambda config, positive, rng: LCNumber.from_real(_draw_real(config, positive, rng), config),
-           "infinitesimal": _draw_infinitesimal, "infinite": _draw_infinite, "mixed": _draw_mixed}
-
-
 def _sample_shape(shape: str, rng: random.Random, config: FieldConfig, positive: bool) -> LCNumber:
-    return _SHAPES[shape](config, positive, rng)
+    if shape == "real":
+        return LCNumber.from_real(_draw_real(config, positive, rng), config)
+    if shape == "infinitesimal":
+        lead = _draw_coef(rng.random, -_SERIES_BOUND, _SERIES_BOUND, positive, config.zero_tol)
+        return _draw_terms(rng, _draw_exponent(rng.getrandbits), lead, config)
+    if shape == "infinite":
+        lead = _draw_coef(rng.random, -_SERIES_BOUND, _SERIES_BOUND, positive, config.zero_tol)
+        num, den = _draw_exponent(rng.getrandbits)
+        return _draw_terms(rng, (-num, den), lead, config)
+    if shape == "mixed":
+        return _draw_terms(rng, (0, 1), _draw_coef(rng.random, *_COEF_RANGE, positive, config.zero_tol), config)
+    raise ValueError(f"unknown shape '{shape}'")
 
 
 _C = Classification
@@ -390,9 +379,8 @@ def _stratum(name: str) -> _Stratum:
 
 def _drawer(stratum: str, config: FieldConfig):
     """A function of the RNG that draws one element of ``stratum``, with the
-    stratum's shapes and sign resolved once: a single-shape stratum's drawer
-    is its shape's draw, called with no dispatch.  A composite stratum picks
-    its shape as ``shapes[int(random() * n)]``, the index that ``random.choices``
+    stratum's shapes and sign resolved once.  A composite stratum picks its
+    shape as ``shapes[int(random() * n)]``, the index that ``random.choices``
     with cumulative weights 1, 2, ..., n returns from the same one draw
     (``random.choice`` draws differently).
 
@@ -410,7 +398,8 @@ def _drawer(stratum: str, config: FieldConfig):
         raise ValueError(f"zero_tol {config.zero_tol:g} leaves no leading coefficient in "
                          f"[-{bound:g}, {bound:g}] to draw for stratum '{stratum}'")
     if len(shapes) == 1:
-        return partial(_SHAPES[shapes[0]], config, positive)
+        shape = shapes[0]
+        return lambda rng: _sample_shape(shape, rng, config, positive)
     n = len(shapes)
     return lambda rng: _sample_shape(shapes[int(rng.random() * n)], rng, config, positive)
 
@@ -604,11 +593,11 @@ class _Game:
 def _forall_assignments(quants, n, game: _Game, project: bool):
     """Coverage probes (a deterministic product over per-variable probe lists,
     capped at half the budget) followed by joint random draws, n in total.
-    Each assignment comes with its float projection (None unless every
-    value is real, and only made if ``project``, else None) and a scope of
-    its own for the cached sides.  A block of real strata projects to the
-    floats its draws give back; the probes and a block that can draw a
-    series are projected by ``project_reals`` once, when they are drawn."""
+    Each assignment comes with its float projection (``project_reals``,
+    None unless every value is real; made once when it is drawn, and only
+    if ``project``, else None) and a scope of its own for the cached sides.
+    A one-variable block of a real stratum projects to the float its draw
+    gives back instead."""
     names = [q.var for q in quants]
     produced = 0
     for combo in itertools.islice(itertools.product(*[game.probes[q.stratum] for q in quants]),
@@ -616,30 +605,17 @@ def _forall_assignments(quants, n, game: _Game, project: bool):
         assignment = dict(zip(names, combo))
         yield assignment, field.project_reals(assignment, {}) if project else None, {}
         produced += 1
-    rng, config, left = game.rng, game.config, n - produced
-    rows = [_STRATA[q.stratum] for q in quants]
-    floats = project and all(row.shapes == ("real",) for row in rows)
-    draws = [(q.var, partial(_draw_real, config, row.positive) if floats else game.draw[q.stratum])
-             for q, row in zip(quants, rows)]
-    lift = LCNumber.from_real
-    if len(draws) == 1:
-        (name, draw), = draws
-        if floats:
-            for _ in range(left):
-                x = draw(rng)
-                yield {name: lift(x, config)}, {name: x}, {}
-        else:
-            for _ in range(left):
-                assignment = {name: draw(rng)}
-                yield assignment, field.project_reals(assignment, {}) if project else None, {}
-    elif floats:
-        for _ in range(left):
-            reals = {name: draw(rng) for name, draw in draws}
-            yield {name: lift(x, config) for name, x in reals.items()}, reals, {}
-    else:
-        for _ in range(left):
-            assignment = {name: draw(rng) for name, draw in draws}
-            yield assignment, field.project_reals(assignment, {}) if project else None, {}
+    rng, row = game.rng, _STRATA[quants[0].stratum]
+    if project and len(quants) == 1 and row.shapes == ("real",):
+        name, config, positive, draw, lift = names[0], game.config, row.positive, _draw_real, LCNumber.from_real
+        for _ in range(n - produced):
+            x = draw(config, positive, rng)
+            yield {name: lift(x, config)}, {name: x}, {}
+        return
+    draws = [(q.var, game.draw[q.stratum]) for q in quants]
+    for _ in range(n - produced):
+        assignment = {name: draw(rng) for name, draw in draws}
+        yield assignment, field.project_reals(assignment, {}) if project else None, {}
 
 
 def _witness_candidates(quant, binding, game: _Game):

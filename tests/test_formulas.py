@@ -11,6 +11,7 @@ from fractions import Fraction
 from functools import partial
 from pathlib import Path
 
+import numpy as np
 import pytest
 
 from levicalc import field, formulas
@@ -258,8 +259,11 @@ def test_sampler_rejects_budget_that_is_not_an_int(budget):
     # A float budget would fail inside the sampler (range, islice), and
     # nan passed the >= 1 test; each is one ValueError naming the field.
     for value in (2.5, 3.0, float("nan"), "3", True):
-        with pytest.raises(ValueError, match=f"^{budget} must be an int >= 1"):
+        with pytest.raises(ValueError, match=f"^{budget} must be an integer >= 1"):
             SamplerConfig(**{budget: value})
+    # Any integral type other than bool is a budget: range and islice take
+    # it through __index__.
+    assert getattr(SamplerConfig(**{budget: np.int64(3)}), budget) == 3
 
 
 def _reference_sample(stratum, rng, config):
