@@ -269,6 +269,9 @@ def main(argv=None) -> int:
     except (LevicalcError, ValueError) as e:
         print(f"{type(e).__name__}: {e}", file=sys.stderr)
         return 1
+    except RecursionError:  # a parsed tree deeper than the recursive walks over it
+        print("RecursionError: the input is nested too deeply to evaluate", file=sys.stderr)
+        return 1
     except OSError as e:
         print(f"error: {e}", file=sys.stderr)
         return 1

@@ -23,7 +23,7 @@ import numpy as np
 from . import field
 from .errors import BindingError, DomainError, NegativeLeading, NotFinite, ParseError
 from .field import DEFAULT_CONFIG, FieldConfig, LCNumber
-from .lexer import TokenStream, tokenize
+from .lexer import NAME_START, TokenStream, describe, position, scan
 
 FUNCTIONS = ("sin", "cos", "exp", "log", "sqrt")
 
@@ -127,73 +127,89 @@ _INFIX = {op: (prec, node) for node, (prec, op) in _BINARY.items()}
 
 def parse_expr(src: str) -> Expr:
     """Parse an expression; raises ParseError with a 1-based position."""
-    stream = TokenStream(tokenize(src))
-    e = parse_expr_tokens(stream)
-    tok = stream.peek()
-    if tok.kind != "end":
-        raise ParseError(f"unexpected trailing input '{tok.text}'", tok.line, tok.col)
+    texts = scan(src)
+    e, i = _parse_at(src, texts, 0)
+    if texts[i]:
+        raise ParseError(f"unexpected trailing input '{texts[i]}'", *position(src, i))
     return e
 
 
-def parse_expr_tokens(stream: TokenStream, _min_prec: int = 1) -> Expr:
-    """Expression parser over an existing token stream (used by the formula
-    DSL).  Binary operators come from _INFIX; each groups to the left, so its
-    right operand is parsed one level up."""
-    e = _parse_unary(stream)
+def parse_expr_tokens(stream: TokenStream) -> Expr:
+    """The expression at the stream's cursor (used by the formula DSL)."""
+    e, stream.pos = _parse_at(stream.src, stream.texts, stream.pos)
+    return e
+
+
+def _parse_at(src: str, texts: list, i: int) -> tuple:
+    """(the expression at token i of src, the index of the token after it).
+
+    One precedence loop over _INFIX.  Each binary operator groups to the
+    left; a unary minus takes the power after it, and "^" an atom.  Pending
+    work sits on an explicit stack, not on Python's, so nesting is bounded by
+    memory: a binary operator's (left operand, node, precedence), None for a
+    unary minus, "(" for a group, and a function's name for its call.
+    """
+    stack = []
     while True:
-        prec, node = _INFIX.get(stream.peek().kind, (0, None))
-        if prec < _min_prec:
-            return e
-        stream.next()
-        e = node(e, parse_expr_tokens(stream, prec + 1))
-
-
-def _parse_unary(stream: TokenStream) -> Expr:
-    if stream.match("-"):
-        operand = _parse_unary(stream)
-        if isinstance(operand, Const):
-            return Const(-operand.value)
-        return Neg(operand)
-    return _parse_power(stream)
-
-
-def _parse_power(stream: TokenStream) -> Expr:
-    base = _parse_atom(stream)
-    if stream.match("^"):
-        sign = -1 if stream.match("-") else 1
-        tok = stream.expect("number", "an integer exponent")
-        if not tok.text.isdigit():
-            raise ParseError(f"power exponents must be integers, got '{tok.text}'", tok.line, tok.col)
-        return Pow(base, sign * int(tok.text))
-    return base
-
-
-def _parse_atom(stream: TokenStream) -> Expr:
-    tok = stream.peek()
-    if tok.kind == "number":
-        stream.next()
-        value = float(tok.text)
-        if not math.isfinite(value):
-            raise ParseError(f"'{tok.text}' is not a finite number", tok.line, tok.col)
-        return Const(value)
-    if tok.kind == "ident":
-        stream.next()
-        if stream.peek().kind == "(":
-            if tok.text not in FUNCTIONS:
-                raise ParseError(f"unknown function '{tok.text}'", tok.line, tok.col)
-            stream.next()
-            arg = parse_expr_tokens(stream)
-            stream.expect(")")
-            return Call(tok.text, arg)
-        if tok.text in FUNCTIONS:
-            raise ParseError(f"expected '(' after function name '{tok.text}'", tok.line, tok.col)
-        return Var(tok.text)
-    if tok.kind == "(":
-        stream.next()
-        e = parse_expr_tokens(stream)
-        stream.expect(")")
-        return e
-    raise stream.error(f"expected an expression, got {TokenStream._describe(tok)}")
+        t = texts[i]  # an operand: unary minuses and openings, then an atom
+        if t == "-" or t == "(":
+            stack.append(None if t == "-" else t)
+            i += 1
+            continue
+        if "0" <= t[:1] <= "9":
+            value = float(t)
+            if not math.isfinite(value):
+                raise ParseError(f"'{t}' is not a finite number", *position(src, i))
+            e = Const(value)
+        elif t[:1] in NAME_START:
+            if texts[i + 1] == "(":
+                if t not in FUNCTIONS:
+                    raise ParseError(f"unknown function '{t}'", *position(src, i))
+                stack.append(t)
+                i += 2
+                continue
+            if t in FUNCTIONS:
+                raise ParseError(f"expected '(' after function name '{t}'", *position(src, i))
+            e = Var(t)
+        else:
+            raise ParseError(f"expected an expression, got {describe(t)}", *position(src, i))
+        i += 1
+        while True:  # e is an atom: its power, the minuses before it, then an operator or a ")"
+            if texts[i] == "^":
+                i, sign = i + 1, 1
+                if texts[i] == "-":
+                    i, sign = i + 1, -1
+                t = texts[i]
+                if not "0" <= t[:1] <= "9":
+                    raise ParseError(f"expected an integer exponent, got {describe(t)}", *position(src, i))
+                if not t.isdigit():
+                    raise ParseError(f"power exponents must be integers, got '{t}'", *position(src, i))
+                e = Pow(e, sign * int(t))
+                i += 1
+            while stack and stack[-1] is None:
+                stack.pop()
+                e = Const(-e.value) if type(e) is Const else Neg(e)
+            t = texts[i]
+            infix = _INFIX.get(t)
+            if infix is not None:
+                prec, node = infix
+                while stack and type(stack[-1]) is tuple and stack[-1][2] >= prec:
+                    left, outer, _ = stack.pop()
+                    e = outer(left, e)
+                stack.append((e, node, prec))
+                i += 1
+                break
+            while stack and type(stack[-1]) is tuple:
+                left, outer, _ = stack.pop()
+                e = outer(left, e)
+            if not stack:
+                return e, i
+            if t != ")":
+                raise ParseError(f"expected ')', got {describe(t)}", *position(src, i))
+            opening = stack.pop()
+            if opening != "(":
+                e = Call(opening, e)
+            i += 1
 
 
 # -- rendering ---------------------------------------------------------------

@@ -32,7 +32,7 @@ from itertools import count
 from typing import Iterable, Union
 
 from .errors import DivisionByZero, NegativeLeading, NotFinite, ParseError
-from .lexer import TokenStream, tokenize
+from .lexer import TokenStream, describe, kind
 
 Exponent = Union[int, Fraction]
 Scalar = Union[int, float, Fraction]
@@ -664,13 +664,13 @@ def parse_lc(text: str, config: FieldConfig = DEFAULT_CONFIG) -> LCNumber:
     """Parse the text rendering of a field element: terms joined by '+' or
     '-', each read after its run of '-' signs (a joining '-' is the run's
     first)."""
-    stream = TokenStream(tokenize(text))
-    if stream.peek().kind == "end":
+    stream = TokenStream(text)
+    if not stream.peek():
         raise ParseError("empty series literal")
     terms = []
-    while (tok := stream.peek()).kind != "end":
-        if terms and not stream.match("+") and tok.kind != "-":
-            raise ParseError(f"expected '+' or '-', got '{tok.text}'", tok.line, tok.col)
+    while tok := stream.peek():
+        if terms and not stream.match("+") and tok != "-":
+            raise stream.error(f"expected '+' or '-', got '{tok}'")
         sign = 1.0
         while stream.match("-"):
             sign = -sign
@@ -680,21 +680,21 @@ def parse_lc(text: str, config: FieldConfig = DEFAULT_CONFIG) -> LCNumber:
 
 def _parse_lc_term(stream: TokenStream, sign: float):
     tok = stream.peek()
-    if tok.kind == "number":
-        stream.next()
-        coef = sign * float(tok.text)
+    if kind(tok) == "number":
+        coef = sign * float(tok)
         if not math.isfinite(coef):
-            raise ParseError(f"'{tok.text}' is not a finite number", tok.line, tok.col)
+            raise stream.error(f"'{tok}' is not a finite number")
+        stream.next()
         if stream.match("*"):
-            name = stream.expect("ident", "'eps'")
-            if name.text != "eps":
-                raise ParseError(f"expected 'eps', got '{name.text}'", name.line, name.col)
+            if stream.peek() != "eps":
+                raise stream.error(f"expected 'eps', got {describe(stream.peek())}")
+            stream.next()
             return _parse_lc_exponent(stream), coef
         return 0, coef
-    if tok.kind == "ident" and tok.text == "eps":
+    if tok == "eps":
         stream.next()
         return _parse_lc_exponent(stream), sign
-    raise stream.error(f"expected a term, got {TokenStream._describe(tok)}")
+    raise stream.error(f"expected a term, got {describe(tok)}")
 
 
 def _parse_lc_exponent(stream: TokenStream):
@@ -710,14 +710,14 @@ def _parse_lc_exponent(stream: TokenStream):
 def _parse_lc_rational(stream: TokenStream):
     sign = -1 if stream.match("-") else 1
     tok = stream.expect("number", "an integer exponent")
-    if not tok.text.isdigit():
-        raise ParseError(f"exponent parts must be integers, got '{tok.text}'", tok.line, tok.col)
-    num = sign * int(tok.text)
+    if not tok.isdigit():
+        raise stream.error(f"exponent parts must be integers, got '{tok}'", stream.pos - 1)
+    num = sign * int(tok)
     if stream.match("/"):
         den = stream.expect("number", "an integer denominator")
-        if not den.text.isdigit() or int(den.text) == 0:
-            raise ParseError(f"bad exponent denominator '{den.text}'", den.line, den.col)
-        return Fraction(num, int(den.text))
+        if not den.isdigit() or int(den) == 0:
+            raise stream.error(f"bad exponent denominator '{den}'", stream.pos - 1)
+        return Fraction(num, int(den))
     return num
 
 

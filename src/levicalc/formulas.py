@@ -34,7 +34,7 @@ from . import field
 from .errors import BindingError, EvaluationError, LevicalcError, ParseError
 from .expr import Expr, Var, _eval_hyper, eval_real, free_variables, parse_expr_tokens, render_expr
 from .field import DEFAULT_CONFIG, Classification, FieldConfig, LCNumber
-from .lexer import TokenStream, tokenize
+from .lexer import TokenStream
 
 _KEYWORDS = {"forall", "exists", "and", "or", "not"}
 
@@ -92,100 +92,117 @@ _JOINS = {word: (prec, node) for node, (prec, word) in _CONNECTIVES.items()}
 
 
 def parse_formula(src: str) -> Formula:
-    stream = TokenStream(tokenize(src))
+    stream = TokenStream(src)
     formula = _parse_formula(stream)
-    tok = stream.peek()
-    if tok.kind != "end":
-        raise ParseError(f"unexpected trailing input '{tok.text}'", tok.line, tok.col)
+    if stream.peek():
+        raise stream.error(f"unexpected trailing input '{stream.peek()}'")
     _check_bindings(formula)
     return formula
 
 
 def _parse_formula(stream: TokenStream) -> Formula:
     prefix = []
-    while stream.peek().kind == "ident" and stream.peek().text in ("forall", "exists"):
+    while stream.peek() in ("forall", "exists"):
         prefix.append(_parse_quantifier(stream))
-        tok = stream.next()
-        if tok.kind == ",":
-            continue
-        if tok.kind == ".":
+        tok = stream.peek()
+        if tok not in (",", "."):
+            raise stream.error(f"expected ',' or '.' after quantifier, got '{tok or 'end of input'}'")
+        stream.next()
+        if tok == ".":
             break
-        raise ParseError(f"expected ',' or '.' after quantifier, got '{tok.text or 'end of input'}'",
-                         tok.line, tok.col)
     return Formula(tuple(prefix), _parse_matrix(stream))
 
 
 def _parse_quantifier(stream: TokenStream) -> Quantifier:
-    kind = stream.next().text
+    kind = stream.next()
     name = stream.expect("ident", "a variable name")
-    if name.text in _KEYWORDS or name.text == "eps":
-        raise ParseError(f"'{name.text}' cannot be a quantified variable", name.line, name.col)
+    if name in _KEYWORDS or name == "eps":
+        raise stream.error(f"'{name}' cannot be a quantified variable", stream.pos - 1)
     stratum = "any"
     if stream.match(":"):
         stratum = _parse_stratum(stream)
-    return Quantifier(kind, name.text, stratum)
+    return Quantifier(kind, name, stratum)
 
 
 def _parse_stratum(stream: TokenStream) -> str:
-    tok = stream.expect("ident", "a stratum name")
-    name = tok.text
-    if name == "positive" and [t.text for t in stream.tokens[stream.pos:stream.pos + 2]] == ["-", "real"]:
+    name = stream.expect("ident", "a stratum name")
+    at = stream.pos - 1
+    if name == "positive" and stream.texts[stream.pos:stream.pos + 2] == ["-", "real"]:
         stream.pos += 2
         name = "positive-real"
     if name not in _STRATA:
-        raise ParseError(f"unknown stratum '{name}'", tok.line, tok.col)
+        raise stream.error(f"unknown stratum '{name}'", at)
     return name
 
 
-def _parse_matrix(stream: TokenStream, min_prec: int = 1):
-    """Connectives by precedence climbing over _JOINS: "=>" groups to the
-    right, so its right operand is parsed at its own precedence; "or" and
-    "and" group to the left and parse it one level up."""
-    node = _parse_atomf(stream)
+def _parse_matrix(stream: TokenStream):
+    """Connectives by one precedence loop over _JOINS, as expressions by
+    _INFIX: "=>" groups to the right, "or" and "and" to the left, and "not"
+    takes the operand after it.  Pending work sits on an explicit stack: a
+    connective's (left operand, node, precedence), Not, and "(" for a group."""
+    stack = []
     while True:
-        prec, join = _JOINS.get(stream.peek().text, (0, None))
-        if prec < min_prec:
-            return node
-        stream.next()
-        node = join(node, _parse_matrix(stream, prec + (join is not Implies)))
+        if stream.match("not"):
+            stack.append(Not)
+            continue
+        node = _parse_atomf(stream)
+        if node is None:
+            stack.append("(")
+            continue
+        while True:
+            while stack and stack[-1] is Not:
+                stack.pop()
+                node = Not(node)
+            prec, join = _JOINS.get(stream.peek(), (0, None))
+            if join is not None:
+                while stack and type(stack[-1]) is tuple and stack[-1][2] >= prec + (join is Implies):
+                    left, outer, _ = stack.pop()
+                    node = outer(left, node)
+                stack.append((node, join, prec))
+                stream.next()
+                break
+            while stack and type(stack[-1]) is tuple:
+                left, outer, _ = stack.pop()
+                node = outer(left, node)
+            if not stack:
+                return node
+            stream.expect(")")
+            stack.pop()
 
 
 def _parse_atomf(stream: TokenStream):
-    tok = stream.peek()
-    if tok.kind == "ident" and tok.text == "not":
-        stream.next()
-        return Not(_parse_atomf(stream))
-    # A comparison and a parenthesized sub-formula can both start with "(";
-    # try the comparison first and fall back on failure.
-    save = stream.pos
+    """A comparison, or None after the "(" of a parenthesized sub-formula.
+    Both can start with "(": the comparison is tried first, and on failure
+    the "(" is read as a sub-formula's."""
+    tok, save = stream.peek(), stream.pos
     try:
         left = parse_expr_tokens(stream)
-        op_tok = stream.peek()
-        if op_tok.kind in ("<", "<=", "="):
+        op = stream.peek()
+        if op in ("<", "<=", "="):
             stream.next()
-            right = parse_expr_tokens(stream)
-            return Atom(op_tok.kind, left, right)
-        if tok.kind != "(":
-            raise ParseError("expected a comparison operator after the term",
-                             op_tok.line, op_tok.col)
+            return Atom(op, left, parse_expr_tokens(stream))
+        if tok != "(":
+            raise stream.error("expected a comparison operator after the term")
     except ParseError:
-        if tok.kind != "(":
+        if tok != "(":
             raise
-    stream.pos = save
-    stream.expect("(")
-    node = _parse_matrix(stream)
-    stream.expect(")")
-    return node
+    stream.pos = save + 1
+    return None
 
 
 def _matrix_variables(node) -> set:
-    if isinstance(node, Atom):
-        return free_variables(node.left) | free_variables(node.right)
-    if isinstance(node, Not):
-        return _matrix_variables(node.operand)
-    if isinstance(node, (And, Or, Implies)):
-        return _matrix_variables(node.left) | _matrix_variables(node.right)
-    raise TypeError(f"not a matrix node: {node!r}")
+    names, stack = set(), [node]
+    while stack:
+        node = stack.pop()
+        if isinstance(node, Atom):
+            names |= free_variables(node.left) | free_variables(node.right)
+        elif isinstance(node, Not):
+            stack.append(node.operand)
+        elif isinstance(node, (And, Or, Implies)):
+            stack += (node.left, node.right)
+        else:
+            raise TypeError(f"not a matrix node: {node!r}")
+    return names
 
 
 def _check_bindings(formula: Formula) -> None:
@@ -269,7 +286,8 @@ class SamplerConfig:
                    one (witness verification budget)
 
     The three budgets must be integers of at least 1: a verdict needs
-    evaluations, and the sampler counts them.
+    evaluations, and the sampler counts them.  The seed must be an int, so
+    that a report can be drawn again from the seed it records.
     """
 
     samples: int = 1000
@@ -282,6 +300,8 @@ class SamplerConfig:
             value = getattr(self, name)
             if isinstance(value, bool) or not isinstance(value, numbers.Integral) or value < 1:
                 raise ValueError(f"{name} must be an integer >= 1, got {value!r}")
+        if isinstance(self.seed, bool) or not isinstance(self.seed, int):
+            raise ValueError(f"seed must be an integer, got {self.seed!r}")
 
 
 def _below(bits, n: int) -> int:

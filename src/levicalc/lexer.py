@@ -1,24 +1,68 @@
-"""Tokenizer shared by the expression, formula, and series-literal parsers."""
+"""Tokenizer shared by the expression, formula, and series-literal parsers.
+
+A source is read as one list of token texts, ended by "".  A token's kind is
+read from its first character: a digit starts a number, a letter or "_" a
+name, and any other token is a symbol.  Lines and columns are worked out
+from the source only when an error is reported.
+"""
 
 from __future__ import annotations
 
 import re
+from itertools import islice
 from typing import NamedTuple
 
 from .errors import ParseError
 
-# One master pattern: spaces, then the first alternative that matches.
-# Numbers and names are ASCII only: str.isdigit also accepts superscripts and
-# other scripts' digits, which float() then rejects or silently reads, and
-# str.isalpha would take "x²" as one name.  Two-character symbols come before
-# their one-character prefixes, and an exponent needs a digit ("1e" is 1, e).
-# Spaces are str.isspace's, one column each; "bad" is any other character.
-_TOKEN = re.compile(r"""[^\S\n]*(?:
-    (?P<number>[0-9]+(?:\.[0-9]+)?(?:[eE][+-]?[0-9]+)?)
-  | (?P<ident>[A-Za-z_][A-Za-z0-9_]*)
-  | (?P<symbol><=|=>|[-+*/^()<=,.:])
-  | (?P<newline>\n)
-  | (?P<bad>\S))""", re.VERBOSE)
+# One pattern, tried at each token start; spaces between tokens match none
+# of it.  Numbers and names are ASCII only: str.isdigit also accepts
+# superscripts and other scripts' digits, which float() then rejects or
+# silently reads, and str.isalpha would take "x²" as one name.  Two-character
+# symbols come before their one-character prefixes, and an exponent needs a
+# digit ("1e" is 1, e).
+_TOKEN = re.compile(r"[0-9]+(?:\.[0-9]+)?(?:[eE][+-]?[0-9]+)?|[A-Za-z_][A-Za-z0-9_]*|<=|=>|[-+*/^()<=,.:]")
+# The characters no token takes: any outside the tokens' alphabet and the
+# spaces (str.isspace's), ">" included, except a ">" that ends "=>".  Every
+# "<" starts a token, so an "=" after "<" ends "<=" ("<=>" is "<=", then a
+# bad ">").  One character class and two lookbehinds keep the search in C.
+_BAD = re.compile(r"[^\sA-Za-z0-9_+\-*/^()<=,.:](?<![^<]=>)(?<!\A=>)")
+
+NAME_START = frozenset("ABCDEFGHIJKLMNOPQRSTUVWXYZabcdefghijklmnopqrstuvwxyz_")
+
+
+def scan(src: str) -> list[str]:
+    """The token texts of src, then "".  A character that starts no token
+    is reported before any grammar error."""
+    bad = _BAD.search(src)
+    if bad:
+        raise ParseError(f"unexpected character {bad[0]!r}", *_line_col(src, bad.start()))
+    texts = _TOKEN.findall(src)
+    texts.append("")
+    return texts
+
+
+def kind(text: str) -> str:
+    """"number", "ident", "end", or the symbol itself."""
+    if not text:
+        return "end"
+    if "0" <= text[0] <= "9":
+        return "number"
+    return "ident" if text[0] in NAME_START else text
+
+
+def describe(text: str) -> str:
+    return f"'{text}'" if text else "end of input"
+
+
+def position(src: str, index: int) -> tuple:
+    """(line, column), both from 1, of src's index-th token, or of its end
+    when index is the number of tokens."""
+    token = next(islice(_TOKEN.finditer(src), index, None), None)
+    return _line_col(src, len(src) if token is None else token.start())
+
+
+def _line_col(src: str, offset: int) -> tuple:
+    return src.count("\n", 0, offset) + 1, offset - src.rfind("\n", 0, offset)
 
 
 class Token(NamedTuple):
@@ -29,55 +73,43 @@ class Token(NamedTuple):
 
 
 def tokenize(src: str) -> list[Token]:
-    tokens = []
-    line, line_start = 1, 0
-    for m in _TOKEN.finditer(src):  # only trailing spaces match nothing
-        kind = m.lastgroup
-        if kind == "newline":
-            line, line_start = line + 1, m.end()
-            continue
-        text, col = m[kind], m.start(kind) - line_start + 1
-        if kind == "bad":
-            raise ParseError(f"unexpected character {text!r}", line, col)
-        tokens.append(Token(text if kind == "symbol" else kind, text, line, col))
-    tokens.append(Token("end", "", line, len(src) - line_start + 1))
-    return tokens
+    """Each token of src with its kind and position, then the end."""
+    texts = scan(src)
+    starts = [token.start() for token in _TOKEN.finditer(src)] + [len(src)]
+    return [Token(kind(text), text, *_line_col(src, start)) for text, start in zip(texts, starts)]
 
 
 class TokenStream:
-    """Cursor over a token list with the usual peek/expect helpers."""
+    """Cursor over a source's token texts, with the usual peek/expect helpers."""
 
-    def __init__(self, tokens: list[Token]):
-        self.tokens = tokens
-        self.pos = 0
+    __slots__ = ("src", "texts", "pos")
 
-    def peek(self) -> Token:
-        return self.tokens[self.pos]
+    def __init__(self, src: str):
+        self.src, self.texts, self.pos = src, scan(src), 0
 
-    def next(self) -> Token:
-        tok = self.tokens[self.pos]
-        if tok.kind != "end":
+    def peek(self) -> str:
+        return self.texts[self.pos]
+
+    def next(self) -> str:
+        text = self.texts[self.pos]
+        if text:
             self.pos += 1
-        return tok
+        return text
 
-    def match(self, *kinds: str) -> Token | None:
-        if self.tokens[self.pos].kind in kinds:
-            return self.next()
-        return None
+    def match(self, text: str) -> bool:
+        if self.texts[self.pos] == text:
+            self.pos += 1
+            return True
+        return False
 
-    def expect(self, kind: str, what: str | None = None) -> Token:
-        tok = self.peek()
-        if tok.kind != kind:
-            want = what or f"'{kind}'"
-            raise self.error(f"expected {want}, got {self._describe(tok)}")
-        return self.next()
+    def expect(self, want: str, what: str | None = None) -> str:
+        """The next token, consumed, if its kind is ``want``."""
+        text = self.texts[self.pos]
+        if kind(text) != want:
+            raise self.error(f"expected {what or describe(want)}, got {describe(text)}")
+        self.pos += 1
+        return text
 
-    def error(self, message: str) -> ParseError:
-        tok = self.peek()
-        return ParseError(message, tok.line, tok.col)
-
-    @staticmethod
-    def _describe(tok: Token) -> str:
-        if tok.kind == "end":
-            return "end of input"
-        return f"'{tok.text}'"
+    def error(self, message: str, index: int | None = None) -> ParseError:
+        """A ParseError at token ``index``, by default the next one."""
+        return ParseError(message, *position(self.src, self.pos if index is None else index))

@@ -279,3 +279,35 @@ def test_one_grid_integral_json_is_strict(capsys):
     assert data["error"] is None and data["H"] == [1000]
     code, out, _ = run(capsys, "integrate", "x", "--a", "0", "--b", "1", "--schedule", "1000")
     assert code == 0 and "error estimate = inf\n" in out
+
+
+def test_deep_parentheses_evaluate(capsys):
+    # The recursive parser raised RecursionError at about 250 levels, and
+    # the command printed its traceback.
+    code, out, err = run(capsys, "eval", "(" * 300 + "x" + ")" * 300, "--at", "x=1")
+    assert (code, out, err) == (0, "1\n", "")
+
+
+@pytest.mark.parametrize("argv", [
+    ["eval", " + ".join(["x"] * 3000), "--at", "x=1"],
+    ["derive", " " + "-" * 3000 + "x", "--at", "1"],
+    ["integrate", "sin(" * 3000 + "x" + ")" * 3000, "--a", "0", "--b", "1"],
+    ["transfer-check", "{dir}/deep.fof"],
+], ids=["eval-long-sum", "derive-deep-minus", "integrate-deep-sin", "transfer-deep-not"])
+def test_tree_too_deep_to_evaluate_is_one_error_line(tmp_path, capsys, argv):
+    # Such trees parse (on an explicit stack); evaluating and rendering them
+    # recurse, past Python's limit.
+    (tmp_path / "deep.fof").write_text("forall x: real. " + "not " * 3000 + "x < 1\n")
+    code, out, err = run(capsys, *(arg.replace("{dir}", str(tmp_path)) for arg in argv))
+    assert (code, out, err) == (1, "", "RecursionError: the input is nested too deeply to evaluate\n")
+
+
+@pytest.mark.parametrize("argv, line", [
+    (["eval", "sin(x"], "ParseError: 1:6: expected ')', got end of input"),
+    (["eval", "x + #"], "ParseError: 1:5: unexpected character '#'"),
+    (["transfer-check", "{dir}/second.fof"], "ParseError: 2:20: expected an expression, got end of input"),
+])
+def test_parse_errors_print_their_position(tmp_path, capsys, argv, line):
+    (tmp_path / "second.fof").write_text("forall x: real. x = x\nforall x: real. x < \n")
+    code, out, err = run(capsys, *(arg.replace("{dir}", str(tmp_path)) for arg in argv))
+    assert (code, out, err) == (1, "", line + "\n")

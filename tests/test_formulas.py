@@ -266,6 +266,16 @@ def test_sampler_rejects_budget_that_is_not_an_int(budget):
     assert getattr(SamplerConfig(**{budget: np.int64(3)}), budget) == 3
 
 
+def test_sampler_rejects_seed_that_is_not_an_int():
+    # With seed=None, check() seeded from the operating system and reported
+    # "seed: None"; a float or a string seeded a generator the report could
+    # not name again.  numpy integers cannot seed random.Random.
+    for value in (None, 1.5, 2.0, "a", True, np.int64(3)):
+        with pytest.raises(ValueError, match="^seed must be an integer, got "):
+            SamplerConfig(seed=value)
+    assert SamplerConfig(seed=-7).seed == -7
+
+
 def _reference_sample(stratum, rng, config):
     """The sampler built the plain way: Fraction exponents, normalized by
     the LCNumber constructor, with the same random draws in the same order."""
