@@ -15,9 +15,10 @@ import os
 import sys
 
 from . import calculus, field, formulas
-from .errors import LevicalcError
+from .errors import BindingError, LevicalcError, ParseError
 from .expr import eval_hyper, parse_expr
 from .field import FieldConfig
+from .lexer import NAME_START, scan
 
 CONFIG_ENV_VAR = "LEVICALC_CONFIG"
 
@@ -153,7 +154,18 @@ def _cmd_eval(args, config, fmt) -> int:
         name, sep, literal = item.partition("=")
         if not sep:
             raise LevicalcError(f"--at expects NAME=SERIES, got {item!r}")
-        binding[name.strip()] = field.parse_lc(literal.strip(), config)
+        name = name.strip()
+        try:
+            one_name = name[:1] in NAME_START and scan(name) == [name, ""]
+        except ParseError:  # a character that starts no token
+            one_name = False
+        if not one_name:
+            raise BindingError(f"--at expects one variable name before '=', got {name!r}")
+        if name == "eps":
+            raise BindingError("'eps' is the field's generator and cannot be bound")
+        if name in binding:
+            raise BindingError(f"variable '{name}' is bound more than once")
+        binding[name] = field.parse_lc(literal.strip(), config)
     value = eval_hyper(parse_expr(args.expr), binding, config)
     _emit(field.to_json(value), fmt, str(value))
     return 0

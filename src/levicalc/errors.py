@@ -30,10 +30,11 @@ class NoBracket(LevicalcError, RuntimeError):
 
 
 class ParseError(LevicalcError, ValueError):
-    """Syntax error with a 1-based source position."""
+    """Syntax error with a 1-based source position, read as ``line:col: message``."""
 
     def __init__(self, message, line=1, col=1):
         super().__init__(f"{line}:{col}: {message}")
+        self.message = message
         self.line = line
         self.col = col
 

@@ -23,7 +23,7 @@ import numpy as np
 from . import field
 from .errors import BindingError, DomainError, NegativeLeading, NotFinite, ParseError
 from .field import DEFAULT_CONFIG, FieldConfig, LCNumber
-from .lexer import NAME_START, TokenStream, describe, position, scan
+from .lexer import NAME_START, describe, position, scan
 
 FUNCTIONS = ("sin", "cos", "exp", "log", "sqrt")
 
@@ -131,12 +131,6 @@ def parse_expr(src: str) -> Expr:
     e, i = _parse_at(src, texts, 0)
     if texts[i]:
         raise ParseError(f"unexpected trailing input '{texts[i]}'", *position(src, i))
-    return e
-
-
-def parse_expr_tokens(stream: TokenStream) -> Expr:
-    """The expression at the stream's cursor (used by the formula DSL)."""
-    e, stream.pos = _parse_at(stream.src, stream.texts, stream.pos)
     return e
 
 

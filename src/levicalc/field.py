@@ -23,6 +23,7 @@ bound -- any upper bound can be halved and still bound them).
 from __future__ import annotations
 
 import math
+import numbers
 from bisect import bisect_right
 from dataclasses import dataclass
 from enum import Enum
@@ -32,7 +33,7 @@ from itertools import count
 from typing import Iterable, Union
 
 from .errors import DivisionByZero, NegativeLeading, NotFinite, ParseError
-from .lexer import TokenStream, describe, kind
+from .lexer import describe, position, scan
 
 Exponent = Union[int, Fraction]
 Scalar = Union[int, float, Fraction]
@@ -53,8 +54,9 @@ class FieldConfig:
     zero_tol   coefficients at or below this magnitude are dropped
     eq_tol     coefficientwise tolerance used by compare() for equality
 
-    The tolerances must satisfy 0 <= zero_tol <= eq_tol < inf (so neither
-    is NaN).
+    depth and max_terms must be integers (not bools) of at least 1: a NaN
+    depth would never end a series recurrence.  The tolerances must satisfy
+    0 <= zero_tol <= eq_tol < inf (so neither is NaN).
 
     The hash is computed once: configs key the caches of every field-side
     evaluation, so it is taken far more often than a config is made.
@@ -66,10 +68,12 @@ class FieldConfig:
     eq_tol: float = 1e-10
 
     def __post_init__(self):
-        if self.depth < 1:
-            raise ValueError("depth must be >= 1")
-        if self.max_terms < 1:
-            raise ValueError("max_terms must be >= 1")
+        for name in ("depth", "max_terms"):
+            value = getattr(self, name)
+            if isinstance(value, bool) or not isinstance(value, numbers.Integral):
+                raise ValueError(f"{name} must be an integer, got {value!r}")
+            if value < 1:
+                raise ValueError(f"{name} must be >= 1")
         if not self.zero_tol >= 0:  # NaN fails every comparison
             raise ValueError("zero_tol must be >= 0")
         if not self.eq_tol >= self.zero_tol:
@@ -663,62 +667,68 @@ def format_lc(u: LCNumber) -> str:
 def parse_lc(text: str, config: FieldConfig = DEFAULT_CONFIG) -> LCNumber:
     """Parse the text rendering of a field element: terms joined by '+' or
     '-', each read after its run of '-' signs (a joining '-' is the run's
-    first)."""
-    stream = TokenStream(text)
-    if not stream.peek():
+    first).  A term is a number, 'eps' with an optional exponent, or both
+    joined by '*'."""
+    texts = scan(text)
+    if not texts[0]:
         raise ParseError("empty series literal")
-    terms = []
-    while tok := stream.peek():
-        if terms and not stream.match("+") and tok != "-":
-            raise stream.error(f"expected '+' or '-', got '{tok}'")
+    terms, i = [], 0
+    while tok := texts[i]:
+        if terms and tok != "-":
+            if tok != "+":
+                raise ParseError(f"expected '+' or '-', got '{tok}'", *position(text, i))
+            i += 1
         sign = 1.0
-        while stream.match("-"):
-            sign = -sign
-        terms.append(_parse_lc_term(stream, sign))
+        while texts[i] == "-":
+            sign, i = -sign, i + 1
+        tok = texts[i]
+        if tok == "eps":
+            q, i = _parse_lc_exponent(text, texts, i + 1)
+            terms.append((q, sign))
+            continue
+        if not "0" <= tok[:1] <= "9":
+            raise ParseError(f"expected a term, got {describe(tok)}", *position(text, i))
+        coef = sign * float(tok)
+        if not math.isfinite(coef):
+            raise ParseError(f"'{tok}' is not a finite number", *position(text, i))
+        q, i = 0, i + 1
+        if texts[i] == "*":
+            if texts[i + 1] != "eps":
+                raise ParseError(f"expected 'eps', got {describe(texts[i + 1])}", *position(text, i + 1))
+            q, i = _parse_lc_exponent(text, texts, i + 2)
+        terms.append((q, coef))
     return LCNumber(terms, config)
 
 
-def _parse_lc_term(stream: TokenStream, sign: float):
-    tok = stream.peek()
-    if kind(tok) == "number":
-        coef = sign * float(tok)
-        if not math.isfinite(coef):
-            raise stream.error(f"'{tok}' is not a finite number")
-        stream.next()
-        if stream.match("*"):
-            if stream.peek() != "eps":
-                raise stream.error(f"expected 'eps', got {describe(stream.peek())}")
-            stream.next()
-            return _parse_lc_exponent(stream), coef
-        return 0, coef
-    if tok == "eps":
-        stream.next()
-        return _parse_lc_exponent(stream), sign
-    raise stream.error(f"expected a term, got {describe(tok)}")
-
-
-def _parse_lc_exponent(stream: TokenStream):
-    if not stream.match("^"):
-        return 1
-    if stream.match("("):
-        q = _parse_lc_rational(stream)
-        stream.expect(")")
-        return q
-    return _parse_lc_rational(stream)
-
-
-def _parse_lc_rational(stream: TokenStream):
-    sign = -1 if stream.match("-") else 1
-    tok = stream.expect("number", "an integer exponent")
-    if not tok.isdigit():
-        raise stream.error(f"exponent parts must be integers, got '{tok}'", stream.pos - 1)
-    num = sign * int(tok)
-    if stream.match("/"):
-        den = stream.expect("number", "an integer denominator")
+def _parse_lc_exponent(text: str, texts: list, i: int) -> tuple:
+    """(the exponent of an 'eps' whose next token is i, the index after it):
+    1 without a '^', else an integer or a ratio of integers, with an
+    optional '-', in parentheses or not."""
+    if texts[i] != "^":
+        return 1, i
+    grouped = texts[i + 1] == "("
+    i += 1 + grouped
+    sign = 1
+    if texts[i] == "-":
+        sign, i = -1, i + 1
+    num = texts[i]
+    if not "0" <= num[:1] <= "9":
+        raise ParseError(f"expected an integer exponent, got {describe(num)}", *position(text, i))
+    if not num.isdigit():
+        raise ParseError(f"exponent parts must be integers, got '{num}'", *position(text, i))
+    q, i = sign * int(num), i + 1
+    if texts[i] == "/":
+        den, i = texts[i + 1], i + 1
+        if not "0" <= den[:1] <= "9":
+            raise ParseError(f"expected an integer denominator, got {describe(den)}", *position(text, i))
         if not den.isdigit() or int(den) == 0:
-            raise stream.error(f"bad exponent denominator '{den}'", stream.pos - 1)
-        return Fraction(num, int(den))
-    return num
+            raise ParseError(f"bad exponent denominator '{den}'", *position(text, i))
+        q, i = Fraction(q, int(den)), i + 1
+    if grouped:
+        if texts[i] != ")":
+            raise ParseError(f"expected ')', got {describe(texts[i])}", *position(text, i))
+        i += 1
+    return q, i
 
 
 def to_json(u: LCNumber) -> list:

@@ -32,9 +32,9 @@ from typing import Mapping
 
 from . import field
 from .errors import BindingError, EvaluationError, LevicalcError, ParseError
-from .expr import Expr, Var, _eval_hyper, eval_real, free_variables, parse_expr_tokens, render_expr
+from .expr import Expr, Var, _eval_hyper, _parse_at, eval_real, free_variables, render_expr
 from .field import DEFAULT_CONFIG, Classification, FieldConfig, LCNumber
-from .lexer import TokenStream
+from .lexer import NAME_START, describe, position, scan
 
 _KEYWORDS = {"forall", "exists", "and", "or", "not"}
 
@@ -92,60 +92,55 @@ _JOINS = {word: (prec, node) for node, (prec, word) in _CONNECTIVES.items()}
 
 
 def parse_formula(src: str) -> Formula:
-    stream = TokenStream(src)
-    formula = _parse_formula(stream)
-    if stream.peek():
-        raise stream.error(f"unexpected trailing input '{stream.peek()}'")
+    """A prenex formula: quantifiers ("forall" or "exists", a variable, an
+    optional ": stratum") joined by "," and ended by ".", then the matrix."""
+    texts = scan(src)
+    prefix, i = [], 0
+    while texts[i] in ("forall", "exists"):
+        name = texts[i + 1]
+        if name[:1] not in NAME_START:
+            raise ParseError(f"expected a variable name, got {describe(name)}", *position(src, i + 1))
+        if name in _KEYWORDS or name == "eps":
+            raise ParseError(f"'{name}' cannot be a quantified variable", *position(src, i + 1))
+        quantifier, stratum, i = texts[i], "any", i + 2
+        if texts[i] == ":":
+            stratum, at = texts[i + 1], i + 1
+            if stratum[:1] not in NAME_START:
+                raise ParseError(f"expected a stratum name, got {describe(stratum)}", *position(src, at))
+            i += 2
+            if stratum == "positive" and texts[i:i + 2] == ["-", "real"]:
+                stratum, i = "positive-real", i + 2
+            if stratum not in _STRATA:
+                raise ParseError(f"unknown stratum '{stratum}'", *position(src, at))
+        prefix.append(Quantifier(quantifier, name, stratum))
+        tok = texts[i]
+        if tok not in (",", "."):
+            raise ParseError(f"expected ',' or '.' after quantifier, got '{tok or 'end of input'}'", *position(src, i))
+        i += 1
+        if tok == ".":
+            break
+    matrix, i = _parse_matrix(src, texts, i)
+    if texts[i]:
+        raise ParseError(f"unexpected trailing input '{texts[i]}'", *position(src, i))
+    formula = Formula(tuple(prefix), matrix)
     _check_bindings(formula)
     return formula
 
 
-def _parse_formula(stream: TokenStream) -> Formula:
-    prefix = []
-    while stream.peek() in ("forall", "exists"):
-        prefix.append(_parse_quantifier(stream))
-        tok = stream.peek()
-        if tok not in (",", "."):
-            raise stream.error(f"expected ',' or '.' after quantifier, got '{tok or 'end of input'}'")
-        stream.next()
-        if tok == ".":
-            break
-    return Formula(tuple(prefix), _parse_matrix(stream))
+def _parse_matrix(src: str, texts: list, i: int) -> tuple:
+    """(the matrix at token i of src, the index of the token after it).
 
-
-def _parse_quantifier(stream: TokenStream) -> Quantifier:
-    kind = stream.next()
-    name = stream.expect("ident", "a variable name")
-    if name in _KEYWORDS or name == "eps":
-        raise stream.error(f"'{name}' cannot be a quantified variable", stream.pos - 1)
-    stratum = "any"
-    if stream.match(":"):
-        stratum = _parse_stratum(stream)
-    return Quantifier(kind, name, stratum)
-
-
-def _parse_stratum(stream: TokenStream) -> str:
-    name = stream.expect("ident", "a stratum name")
-    at = stream.pos - 1
-    if name == "positive" and stream.texts[stream.pos:stream.pos + 2] == ["-", "real"]:
-        stream.pos += 2
-        name = "positive-real"
-    if name not in _STRATA:
-        raise stream.error(f"unknown stratum '{name}'", at)
-    return name
-
-
-def _parse_matrix(stream: TokenStream):
-    """Connectives by one precedence loop over _JOINS, as expressions by
+    Connectives by one precedence loop over _JOINS, as expressions by
     _INFIX: "=>" groups to the right, "or" and "and" to the left, and "not"
     takes the operand after it.  Pending work sits on an explicit stack: a
     connective's (left operand, node, precedence), Not, and "(" for a group."""
     stack = []
     while True:
-        if stream.match("not"):
+        if texts[i] == "not":
             stack.append(Not)
+            i += 1
             continue
-        node = _parse_atomf(stream)
+        node, i = _parse_atomf(src, texts, i)
         if node is None:
             stack.append("(")
             continue
@@ -153,41 +148,42 @@ def _parse_matrix(stream: TokenStream):
             while stack and stack[-1] is Not:
                 stack.pop()
                 node = Not(node)
-            prec, join = _JOINS.get(stream.peek(), (0, None))
+            prec, join = _JOINS.get(texts[i], (0, None))
             if join is not None:
                 while stack and type(stack[-1]) is tuple and stack[-1][2] >= prec + (join is Implies):
                     left, outer, _ = stack.pop()
                     node = outer(left, node)
                 stack.append((node, join, prec))
-                stream.next()
+                i += 1
                 break
             while stack and type(stack[-1]) is tuple:
                 left, outer, _ = stack.pop()
                 node = outer(left, node)
             if not stack:
-                return node
-            stream.expect(")")
+                return node, i
+            if texts[i] != ")":
+                raise ParseError(f"expected ')', got {describe(texts[i])}", *position(src, i))
             stack.pop()
+            i += 1
 
 
-def _parse_atomf(stream: TokenStream):
-    """A comparison, or None after the "(" of a parenthesized sub-formula.
-    Both can start with "(": the comparison is tried first, and on failure
-    the "(" is read as a sub-formula's."""
-    tok, save = stream.peek(), stream.pos
+def _parse_atomf(src: str, texts: list, i: int) -> tuple:
+    """(a comparison, the index after it), or (None, the index after the "("
+    of a parenthesized sub-formula).  Both can start with "(": the
+    comparison is tried first, and on failure the "(" is read as a
+    sub-formula's."""
     try:
-        left = parse_expr_tokens(stream)
-        op = stream.peek()
+        left, j = _parse_at(src, texts, i)
+        op = texts[j]
         if op in ("<", "<=", "="):
-            stream.next()
-            return Atom(op, left, parse_expr_tokens(stream))
-        if tok != "(":
-            raise stream.error("expected a comparison operator after the term")
+            right, j = _parse_at(src, texts, j + 1)
+            return Atom(op, left, right), j
+        if texts[i] != "(":
+            raise ParseError("expected a comparison operator after the term", *position(src, j))
     except ParseError:
-        if tok != "(":
+        if texts[i] != "(":
             raise
-    stream.pos = save + 1
-    return None
+    return None, i + 1
 
 
 def _matrix_variables(node) -> set:
@@ -253,7 +249,7 @@ def parse_formula_file(text: str) -> list:
         try:
             out.append((lineno, src, parse_formula(src)))
         except ParseError as e:
-            raise ParseError(str(e).split(": ", 1)[-1], lineno, e.col) from None
+            raise ParseError(e.message, lineno, e.col) from None
         except BindingError as e:
             raise BindingError(f"line {lineno}: {e}") from None
     return out

@@ -2,8 +2,10 @@
 
 A source is read as one list of token texts, ended by "".  A token's kind is
 read from its first character: a digit starts a number, a letter or "_" a
-name, and any other token is a symbol.  Lines and columns are worked out
-from the source only when an error is reported.
+name, and any other token is a symbol.  Each grammar reads the list by
+index, as a function of (src, texts, i) that returns what it read and the
+index after it.  Lines and columns are worked out from the source only when
+an error is reported.
 """
 
 from __future__ import annotations
@@ -41,15 +43,6 @@ def scan(src: str) -> list[str]:
     return texts
 
 
-def kind(text: str) -> str:
-    """"number", "ident", "end", or the symbol itself."""
-    if not text:
-        return "end"
-    if "0" <= text[0] <= "9":
-        return "number"
-    return "ident" if text[0] in NAME_START else text
-
-
 def describe(text: str) -> str:
     return f"'{text}'" if text else "end of input"
 
@@ -76,40 +69,6 @@ def tokenize(src: str) -> list[Token]:
     """Each token of src with its kind and position, then the end."""
     texts = scan(src)
     starts = [token.start() for token in _TOKEN.finditer(src)] + [len(src)]
-    return [Token(kind(text), text, *_line_col(src, start)) for text, start in zip(texts, starts)]
+    return [Token("number" if "0" <= text[:1] <= "9" else "ident" if text[:1] in NAME_START else text or "end",
+                  text, *_line_col(src, start)) for text, start in zip(texts, starts)]
 
-
-class TokenStream:
-    """Cursor over a source's token texts, with the usual peek/expect helpers."""
-
-    __slots__ = ("src", "texts", "pos")
-
-    def __init__(self, src: str):
-        self.src, self.texts, self.pos = src, scan(src), 0
-
-    def peek(self) -> str:
-        return self.texts[self.pos]
-
-    def next(self) -> str:
-        text = self.texts[self.pos]
-        if text:
-            self.pos += 1
-        return text
-
-    def match(self, text: str) -> bool:
-        if self.texts[self.pos] == text:
-            self.pos += 1
-            return True
-        return False
-
-    def expect(self, want: str, what: str | None = None) -> str:
-        """The next token, consumed, if its kind is ``want``."""
-        text = self.texts[self.pos]
-        if kind(text) != want:
-            raise self.error(f"expected {what or describe(want)}, got {describe(text)}")
-        self.pos += 1
-        return text
-
-    def error(self, message: str, index: int | None = None) -> ParseError:
-        """A ParseError at token ``index``, by default the next one."""
-        return ParseError(message, *position(self.src, self.pos if index is None else index))

@@ -311,3 +311,20 @@ def test_parse_errors_print_their_position(tmp_path, capsys, argv, line):
     (tmp_path / "second.fof").write_text("forall x: real. x = x\nforall x: real. x < \n")
     code, out, err = run(capsys, *(arg.replace("{dir}", str(tmp_path)) for arg in argv))
     assert (code, out, err) == (1, "", line + "\n")
+
+
+@pytest.mark.parametrize("argv, line", [
+    (["eval", "x + eps", "--at", "eps=5", "--at", "x=1"],
+     "BindingError: 'eps' is the field's generator and cannot be bound"),
+    (["eval", "x", "--at", "x=1", "--at", "x=2"], "BindingError: variable 'x' is bound more than once"),
+    (["eval", "x", "--at", "x y=1"], "BindingError: --at expects one variable name before '=', got 'x y'"),
+    (["eval", "x", "--at", "=1"], "BindingError: --at expects one variable name before '=', got ''"),
+    (["eval", "x", "--at", "2=1"], "BindingError: --at expects one variable name before '=', got '2'"),
+    (["eval", "x", "--at", "x²=1"], "BindingError: --at expects one variable name before '=', got 'x²'"),
+], ids=["eps", "twice", "two-names", "no-name", "number", "bad-character"])
+def test_eval_at_binds_one_new_variable_name(capsys, argv, line):
+    assert run(capsys, *argv) == (1, "", line + "\n")
+
+
+def test_eval_at_strips_the_name(capsys):
+    assert run(capsys, "eval", "x*_y2", "--at", " x =2", "--at", "_y2= 3") == (0, "6\n", "")

@@ -5,6 +5,7 @@ import operator
 import random
 from fractions import Fraction
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -747,6 +748,25 @@ def test_config_rejects_non_finite_tolerances(tols, message):
     with pytest.raises(ValueError) as e:
         FieldConfig(**tols)
     assert str(e.value) == message
+
+
+@pytest.mark.parametrize("sizes", [{"depth": math.nan}, {"depth": 2.5}, {"depth": True}, {"depth": "3"},
+                                   {"max_terms": 2.5}, {"max_terms": math.nan}, {"max_terms": False}])
+def test_config_rejects_sizes_that_are_not_integers(sizes):
+    # Construction only: a NaN depth never stops a series recurrence, so no
+    # value is ever computed under one of these configs.
+    (name, value), = sizes.items()
+    with pytest.raises(ValueError) as e:
+        FieldConfig(**sizes)
+    assert str(e.value) == f"{name} must be an integer, got {value!r}"
+
+
+def test_config_sizes_take_any_integral_type():
+    assert FieldConfig(depth=np.int64(4), max_terms=np.int32(9)) == FieldConfig(depth=4, max_terms=9)
+    for sizes, message in (({"depth": 0}, "depth must be >= 1"), ({"max_terms": -2}, "max_terms must be >= 1")):
+        with pytest.raises(ValueError) as e:
+            FieldConfig(**sizes)
+        assert str(e.value) == message
 
 
 @pytest.mark.parametrize("src, col", [("1e400", 1), ("1 - 1e400*eps", 5), ("-2e308 + eps", 2)])

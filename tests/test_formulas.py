@@ -14,7 +14,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
-from levicalc import field, formulas
+from levicalc import field, formulas, lexer
 from levicalc.errors import BindingError, EvaluationError, ParseError
 from levicalc.expr import Var
 from levicalc.formulas import (
@@ -112,6 +112,60 @@ def test_formula_file_lines_and_comments():
     with pytest.raises(BindingError) as e:
         parse_formula_file("forall x. x = x\nforall y. z < y\n")
     assert "line 2" in str(e.value)
+
+
+# The kinds of ParseError a formula can raise: a bad character, the prefix's,
+# the matrix's and the terms'.
+FORMULA_ERROR_KINDS = (
+    "unexpected character", "expected a variable name", "cannot be a quantified variable",
+    "expected a stratum name", "unknown stratum", "expected ',' or '.' after quantifier",
+    "unexpected trailing input", "expected a comparison operator", "expected ')'", "expected an expression",
+    "unknown function", "expected '(' after function name", "is not a finite number",
+    "expected an integer exponent", "power exponents must be integers")
+
+
+def test_formula_file_errors_keep_message_and_column():
+    # Broken lines, each read as line n of a file after n - 1 blank or comment
+    # lines, raise parse_formula's error with its line replaced by n.
+    rng = random.Random(27)
+    broken = ["forall", "forall 1. 1 < 2", "forall x:", "forall x: 2. x < 1", "forall x: positive-",
+              "forall x: real x < 1", "forall x: bogus. x < 1", "forall eps. eps < 1", "forall not. 1 < 2",
+              "(1 < 2", "(x)", "1 < 2 )", "1", "forall x. 1e400 < x", "forall x. x^1.5 < 1",
+              "forall x. sin < x", "forall x. foo(x) < 1", "forall x. x^ < 1"]
+    for path in sorted(FORMULA_DIR.glob("*.fof")):
+        for line in filter(None, (raw.split("#", 1)[0].strip() for raw in path.read_text().splitlines())):
+            texts = lexer.scan(line)[:-1]
+            for _ in range(12):
+                how, i = rng.choice(("delete", "duplicate", "swap", "bad")), rng.randrange(len(texts))
+                if how == "bad":
+                    at = rng.randint(0, len(line))
+                    broken.append(line[:at] + rng.choice(("²", ">", "<=>", "@")) + line[at:])
+                    continue
+                pieces = list(texts)
+                if how == "delete":
+                    del pieces[i]
+                elif how == "duplicate":
+                    pieces.insert(i, pieces[i])
+                else:
+                    pieces[i:i + 2] = reversed(pieces[i:i + 2])
+                broken.append(" ".join(pieces))
+    kinds = set()
+    for src in broken:
+        try:
+            parse_formula(src)
+            continue
+        except BindingError:
+            continue
+        except ParseError as e:
+            want = e
+        n = rng.randint(1, 6)
+        filler = [rng.choice(("", "  ", "# a comment", "  # forall x. x <")) for _ in range(n - 1)]
+        with pytest.raises(ParseError) as got:
+            parse_formula_file("\n".join([*filler, src, "forall x. x = x"]) + "\n")
+        assert (got.value.message, got.value.line, got.value.col) == (want.message, n, want.col), src
+        assert str(got.value) == f"{n}:{want.col}: {want.message}"
+        kinds.update(kind for kind in FORMULA_ERROR_KINDS if kind in want.message)
+    assert kinds == set(FORMULA_ERROR_KINDS)
 
 
 # Every pair of binary connectives without parentheses: "=>" groups to the
