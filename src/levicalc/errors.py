@@ -33,10 +33,13 @@ class ParseError(LevicalcError, ValueError):
     """Syntax error with a 1-based source position, read as ``line:col: message``."""
 
     def __init__(self, message, line=1, col=1):
-        super().__init__(f"{line}:{col}: {message}")
+        super().__init__(message, line, col)  # pickle rebuilds the error from its args
         self.message = message
         self.line = line
         self.col = col
+
+    def __str__(self):
+        return f"{self.line}:{self.col}: {self.message}"
 
 
 class BindingError(LevicalcError, ValueError):

@@ -184,18 +184,14 @@ def _parse_at(src: str, texts: list, i: int) -> tuple:
                 stack.pop()
                 e = Const(-e.value) if type(e) is Const else Neg(e)
             t = texts[i]
-            infix = _INFIX.get(t)
-            if infix is not None:
-                prec, node = infix
-                while stack and type(stack[-1]) is tuple and stack[-1][2] >= prec:
-                    left, outer, _ = stack.pop()
-                    e = outer(left, e)
+            prec, node = _INFIX.get(t, (0, None))  # any other token ends the operands: below every operator
+            while stack and type(stack[-1]) is tuple and stack[-1][2] >= prec:
+                left, outer, _ = stack.pop()
+                e = outer(left, e)
+            if node is not None:
                 stack.append((e, node, prec))
                 i += 1
                 break
-            while stack and type(stack[-1]) is tuple:
-                left, outer, _ = stack.pop()
-                e = outer(left, e)
             if not stack:
                 return e, i
             if t != ")":

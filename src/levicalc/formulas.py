@@ -148,17 +148,14 @@ def _parse_matrix(src: str, texts: list, i: int) -> tuple:
             while stack and stack[-1] is Not:
                 stack.pop()
                 node = Not(node)
-            prec, join = _JOINS.get(texts[i], (0, None))
+            prec, join = _JOINS.get(texts[i], (0, None))  # any other token: below every connective
+            while stack and type(stack[-1]) is tuple and stack[-1][2] >= prec + (join is Implies):
+                left, outer, _ = stack.pop()
+                node = outer(left, node)
             if join is not None:
-                while stack and type(stack[-1]) is tuple and stack[-1][2] >= prec + (join is Implies):
-                    left, outer, _ = stack.pop()
-                    node = outer(left, node)
                 stack.append((node, join, prec))
                 i += 1
                 break
-            while stack and type(stack[-1]) is tuple:
-                left, outer, _ = stack.pop()
-                node = outer(left, node)
             if not stack:
                 return node, i
             if texts[i] != ")":
@@ -240,14 +237,15 @@ def _render_matrix(node, min_prec: int = 0) -> str:
 
 def parse_formula_file(text: str) -> list:
     """One formula per line; '#' starts a comment, blank lines are skipped.
-    Returns a list of (line_number, source, Formula)."""
+    Returns a list of (line_number, source, Formula), the source stripped.
+    A ParseError's column is the one in the file's line."""
     out = []
     for lineno, raw in enumerate(text.splitlines(), start=1):
-        src = raw.split("#", 1)[0].strip()
+        src = raw.split("#", 1)[0].rstrip()
         if not src:
             continue
         try:
-            out.append((lineno, src, parse_formula(src)))
+            out.append((lineno, src.lstrip(), parse_formula(src)))
         except ParseError as e:
             raise ParseError(e.message, lineno, e.col) from None
         except BindingError as e:
@@ -256,19 +254,6 @@ def parse_formula_file(text: str) -> list:
 
 
 # -- sampling -----------------------------------------------------------------
-
-
-# The sampling distribution: the range of exponent-0 (real-part)
-# coefficients; the magnitude bound for the leading coefficient of drawn
-# infinitesimal and infinite elements, whose tail coefficients are further
-# damped below min(|lead|, 1)/2 (keeping series coefficients O(1) keeps
-# inverses and function jets well conditioned, so identities are checked
-# against eq_tol rather than against float-noise blowup); and the largest
-# denominator of drawn exponents.  The shapes of a composite stratum are
-# equally likely.
-_COEF_RANGE = (-10.0, 10.0)
-_SERIES_BOUND = 2.0
-_EXP_DEN_BOUND = 3
 
 
 @dataclass(frozen=True, eq=False)
@@ -311,13 +296,13 @@ def _below(bits, n: int) -> int:
     return r
 
 
-def _draw_coef(rand, lo: float, hi: float, positive: bool, zero_tol: float) -> float:
-    """Uniform on [lo, hi] by ``uniform``'s formula on ``rand``, a
+def _draw_coef(rand, bound: float, positive: bool, zero_tol: float) -> float:
+    """Uniform on [-bound, bound] by ``uniform``'s formula on ``rand``, a
     generator's ``random``, drawn again until its magnitude is at least 0.05
     and above zero_tol, so that normalization keeps it as the lead and the
     value stays in its stratum."""
     while True:
-        c = lo + (hi - lo) * rand()
+        c = -bound + (bound + bound) * rand()
         m = abs(c)
         if m >= 0.05 and m > zero_tol:
             return m if positive else c
@@ -349,23 +334,29 @@ def _draw_terms(rng, lead_exp, lead, config):
 
 def _draw_real(config: FieldConfig, positive: bool, rng: random.Random) -> float:
     """A real draw's one coefficient, which is also its float projection."""
-    return _draw_coef(rng.random, *_COEF_RANGE, positive, config.zero_tol)
+    return _draw_coef(rng.random, _SHAPES["real"][0], positive, config.zero_tol)
 
 
 def _sample_shape(shape: str, rng: random.Random, config: FieldConfig, positive: bool) -> LCNumber:
-    if shape == "real":
-        return LCNumber.from_real(_draw_real(config, positive, rng), config)
-    if shape == "infinitesimal":
-        lead = _draw_coef(rng.random, -_SERIES_BOUND, _SERIES_BOUND, positive, config.zero_tol)
-        return _draw_terms(rng, _draw_exponent(rng.getrandbits), lead, config)
-    if shape == "infinite":
-        lead = _draw_coef(rng.random, -_SERIES_BOUND, _SERIES_BOUND, positive, config.zero_tol)
-        num, den = _draw_exponent(rng.getrandbits)
-        return _draw_terms(rng, (-num, den), lead, config)
-    if shape == "mixed":
-        return _draw_terms(rng, (0, 1), _draw_coef(rng.random, *_COEF_RANGE, positive, config.zero_tol), config)
-    raise ValueError(f"unknown shape '{shape}'")
+    """One element of ``shape`` as its _SHAPES row gives it: the lead, then
+    for a series the exponent (none for sign 0) and the tail."""
+    bound, sign = _SHAPES[shape]
+    lead = _draw_coef(rng.random, bound, positive, config.zero_tol)
+    if sign is None:
+        return LCNumber.from_real(lead, config)
+    num, den = _draw_exponent(rng.getrandbits) if sign else (0, 1)
+    return _draw_terms(rng, (sign * num, den), lead, config)
 
+
+# The sampler's support, which is all that a "not-falsified" verdict
+# covers.  Per shape: the half-width of its uniform lead range and the sign
+# of its leading exponent (None: a real, with no tail; 0: a real part with
+# infinitesimal terms).  Tail coefficients lie below min(|lead|, 1)/2, as
+# O(1) series keep inverses and jets well conditioned, so identities are
+# checked against eq_tol, not float-noise blowup.  Exponents are num/den,
+# den <= _EXP_DEN_BOUND.  A composite stratum's shapes are equally likely.
+_SHAPES = {"real": (10.0, None), "mixed": (10.0, 0), "infinitesimal": (2.0, 1), "infinite": (2.0, -1)}
+_EXP_DEN_BOUND = 3
 
 _C = Classification
 # One row per stratum: the shapes its sampler picks from, the classifications
@@ -402,14 +393,13 @@ def _drawer(stratum: str, config: FieldConfig):
 
     A lead is drawn again until it clears ``max(0.05, zero_tol)``, about
     ``bound / (bound - max(0.05, zero_tol))`` times on average, where
-    ``bound`` is the lead range's half-width (10 for an exponent-0 lead,
-    ``_SERIES_BOUND`` 2 for a series).  So the sampler slows without limit
-    as ``zero_tol`` approaches a bound, and a ``zero_tol`` at or past it
-    raises ``ValueError`` here."""
+    ``bound`` is the lead range's half-width in _SHAPES.  So the sampler
+    slows without limit as ``zero_tol`` approaches a bound, and a
+    ``zero_tol`` at or past it raises ``ValueError`` here."""
     shapes, _, positive = _stratum(stratum)
     # A drawn lead must clear zero_tol; where its range cannot, the redraw
     # would never end.
-    bound = min(_SERIES_BOUND if s in ("infinitesimal", "infinite") else max(map(abs, _COEF_RANGE)) for s in shapes)
+    bound = min(_SHAPES[s][0] for s in shapes)
     if not bound > config.zero_tol:
         raise ValueError(f"zero_tol {config.zero_tol:g} leaves no leading coefficient in "
                          f"[-{bound:g}, {bound:g}] to draw for stratum '{stratum}'")

@@ -11,7 +11,7 @@ an error is reported.
 from __future__ import annotations
 
 import re
-from itertools import islice
+from functools import lru_cache
 from typing import NamedTuple
 
 from .errors import ParseError
@@ -50,8 +50,14 @@ def describe(text: str) -> str:
 def position(src: str, index: int) -> tuple:
     """(line, column), both from 1, of src's index-th token, or of its end
     when index is the number of tokens."""
-    token = next(islice(_TOKEN.finditer(src), index, None), None)
-    return _line_col(src, len(src) if token is None else token.start())
+    return _line_col(src, _starts(src)[index])
+
+
+@lru_cache(maxsize=8)
+def _starts(src: str) -> tuple:
+    """The offset of each token of src, then len(src): scanned once per
+    source, since a parser may build and drop many errors in one source."""
+    return (*(token.start() for token in _TOKEN.finditer(src)), len(src))
 
 
 def _line_col(src: str, offset: int) -> tuple:
@@ -68,7 +74,6 @@ class Token(NamedTuple):
 def tokenize(src: str) -> list[Token]:
     """Each token of src with its kind and position, then the end."""
     texts = scan(src)
-    starts = [token.start() for token in _TOKEN.finditer(src)] + [len(src)]
     return [Token("number" if "0" <= text[:1] <= "9" else "ident" if text[:1] in NAME_START else text or "end",
-                  text, *_line_col(src, start)) for text, start in zip(texts, starts)]
+                  text, *_line_col(src, start)) for text, start in zip(texts, _starts(src))]
 

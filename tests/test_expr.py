@@ -333,8 +333,8 @@ def test_transfer_of_identities_on_field_bindings(monkeypatch):
     # the sampler is kept in the well-conditioned regime (moderate standard
     # parts, O(1) series coefficients) so residuals reflect the algebra, not
     # float-noise amplification
-    monkeypatch.setattr(formulas, "_COEF_RANGE", (-3.0, 3.0))
-    monkeypatch.setattr(formulas, "_SERIES_BOUND", 0.5)
+    monkeypatch.setattr(formulas, "_SHAPES", {"real": (3.0, None), "mixed": (3.0, 0),
+                                              "infinitesimal": (0.5, 1), "infinite": (0.5, -1)})
     cfg = SamplerConfig(seed=11)
     rng = random.Random(11)
     pyth = parse_expr("sin(x)^2 + cos(x)^2")

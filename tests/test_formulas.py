@@ -3,6 +3,7 @@
 import itertools
 import json
 import os
+import pickle
 import random
 import subprocess
 import sys
@@ -166,6 +167,69 @@ def test_formula_file_errors_keep_message_and_column():
         assert str(got.value) == f"{n}:{want.col}: {want.message}"
         kinds.update(kind for kind in FORMULA_ERROR_KINDS if kind in want.message)
     assert kinds == set(FORMULA_ERROR_KINDS)
+
+
+@pytest.mark.parametrize("line", ["    forall x: bogus. x = x", "\tforall x. x <", "  (0 < 1", "   1 < 2 )  # note",
+                                  " forall eps. eps < 1", "  forall x. x @ 1"])
+def test_formula_file_columns_count_leading_whitespace(line):
+    # A line's error gives its column in the file's line, leading whitespace
+    # included; the source returned for a good line is stripped.
+    with pytest.raises(ParseError) as want:
+        parse_formula(line.split("#", 1)[0])
+    with pytest.raises(ParseError) as got:
+        parse_formula_file(f"1 = 1\n{line}\n")
+    assert (got.value.message, got.value.line, got.value.col) == (want.value.message, 2, want.value.col)
+    assert want.value.col > 1
+
+
+def test_formula_file_reports_columns_of_the_file():
+    with pytest.raises(ParseError, match=r"^2:15: unknown stratum 'bogus'$"):
+        parse_formula_file("1 = 1\n    forall x: bogus. x = x\n")
+    assert parse_formula_file("  forall x: real. x = x  # note\n")[0][:2] == (1, "forall x: real. x = x")
+
+
+def test_parse_error_survives_pickle():
+    # An error handed back from a worker process keeps its message, its
+    # position and the text it prints.
+    raised = [ParseError("bad", 2, 5), ParseError("bad")]
+    for parse, src in ((parse_formula, "forall x: bogus. x = x"), (parse_formula_file, "1 = 1\n  1 <\n"),
+                       (field.parse_lc, "eps^(1/0)"), (parse_formula, "x + #")):
+        with pytest.raises(ParseError) as e:
+            parse(src)
+        raised.append(e.value)
+    for e in raised:
+        back = pickle.loads(pickle.dumps(e))
+        assert type(back) is ParseError
+        assert (back.message, back.line, back.col, str(back)) == (e.message, e.line, e.col, str(e))
+    assert [str(e) for e in raised[:2]] == ["2:5: bad", "1:1: bad"]
+
+
+def test_dropped_comparison_trials_scan_the_source_once(monkeypatch):
+    # At each "(" that opens a sub-formula a comparison is tried first, and
+    # its error, with its position, is dropped.  The token starts behind
+    # those positions are scanned once per source, not once per trial.
+    calls = []
+
+    class Counting:
+        def __init__(self, pattern):
+            self.pattern = pattern
+
+        def findall(self, src):
+            return self.pattern.findall(src)
+
+        def finditer(self, src):
+            calls.append(src)
+            return self.pattern.finditer(src)
+
+    monkeypatch.setattr(lexer, "_TOKEN", Counting(lexer._TOKEN))
+    depth = 300
+    assert parse_formula("(" * depth + "0 < 1 and 1 < 3" + ")" * depth) == parse_formula("0 < 1 and 1 < 3")
+    assert len(calls) <= 1
+    src = "(" * depth + "0 < 1 and 4" + ")" * depth
+    with pytest.raises(ParseError, match="expected a comparison operator") as e:
+        parse_formula(src)
+    assert (e.value.line, e.value.col) == (1, src.index(")") + 1)
+    assert len(calls) <= 2
 
 
 # Every pair of binary connectives without parentheses: "=>" groups to the
@@ -355,9 +419,9 @@ def _reference_sample(stratum, rng, config):
     shapes = formulas._STRATA[stratum].shapes
     shape = rng.choices(shapes, [1.0] * len(shapes))[0] if len(shapes) > 1 else shapes[0]
     positive = stratum in ("positive", "positive-real")
-    bound = formulas._SERIES_BOUND
+    bound = formulas._SHAPES[shape][0]
     if shape == "real":
-        return field.LCNumber([(0, coef(*formulas._COEF_RANGE, positive))], config)
+        return field.LCNumber([(0, coef(-bound, bound, positive))], config)
     if shape == "infinitesimal":
         lead = coef(-bound, bound, positive)
         return field.LCNumber(terms(exponent(), lead), config)
@@ -365,7 +429,7 @@ def _reference_sample(stratum, rng, config):
         lead = coef(-bound, bound, positive)
         num, den = exponent()
         return field.LCNumber(terms((-num, den), lead), config)
-    return field.LCNumber(terms((0, 1), coef(*formulas._COEF_RANGE, positive)), config)
+    return field.LCNumber(terms((0, 1), coef(-bound, bound, positive)), config)
 
 
 @pytest.mark.parametrize("stratum", STRATA)
@@ -454,7 +518,7 @@ def test_drawn_reals_are_from_real_values(stratum, config):
     draw, rng, twin = formulas._drawer(stratum, config), random.Random(23), random.Random(23)
     for _ in range(2_000):
         u = draw(rng)
-        c = formulas._draw_coef(twin.random, *formulas._COEF_RANGE, positive, config.zero_tol)
+        c = formulas._draw_coef(twin.random, formulas._SHAPES["real"][0], positive, config.zero_tol)
         v = field.LCNumber.from_real(c, config)
         assert (u._den, u._pairs, u.config) == (v._den, v._pairs, v.config)
     assert rng.getstate() == twin.getstate()
