@@ -30,8 +30,8 @@ import numpy as np
 
 from . import field
 from .errors import DomainError, LevicalcError, NoBracket, NotFinite, OrderTooHigh
-from .expr import (_REALS, Const, Expr, Mul, Sub, Var, _evaluate, _sharing_plan, eval_hyper, eval_real,
-                   free_variables, render_expr, symbolic_derivative)
+from .expr import (_REALS, Const, Expr, Mul, Sub, Var, _analysis, _evaluate, _sharing_plan, eval_hyper,
+                   eval_real, render_expr, symbolic_derivative)
 from .field import DEFAULT_CONFIG, FieldConfig, LCNumber
 
 DEFAULT_H_SCHEDULE = tuple(1000 * 2 ** k for k in range(7))
@@ -103,13 +103,12 @@ class IntegralResult:
         return {"value": self.value, "error": error, "H": self.H_schedule, "sums": self.sums}
 
 
-def _the_var(f: Expr, var: "str | None") -> str:
-    if var is not None:
-        return var
-    names = free_variables(f)
-    if len(names) > 1:
+def _the_var(f: Expr, var: "str | None") -> tuple:
+    """(var, or else f's one variable, or "x"; then `_analysis(f)`'s names and plan)."""
+    names, plan = _analysis(f)
+    if var is None and len(names) > 1:
         raise ValueError(f"expression has several variables {sorted(names)}; pass var=")
-    return names.pop() if names else "x"
+    return next(iter(names), "x") if var is None else var, names, plan
 
 
 def _require_finite(names: str, *values: float) -> None:
@@ -125,25 +124,29 @@ def _jet_at(f: Expr, x0: float, var: str, config: FieldConfig, plan: "dict | Non
 
 def derivative(f: Expr, x0: float, order: int = 1, var: "str | None" = None,
                config: FieldConfig = DEFAULT_CONFIG) -> float:
-    """k-th derivative at a finite x0: k! times the eps^k jet coefficient."""
+    """k-th derivative at a finite x0: k! times the eps^k jet coefficient.
+    DomainError (`_leading_order`'s) when the jet has a term at a negative
+    order, or at a fractional order below k: 1/x or sqrt(x) at 0 has none."""
     _require_finite("x0", x0)
     if order < 1:
         raise ValueError("derivative order must be >= 1")
     if order > config.depth:
         raise OrderTooHigh(f"order {order} exceeds truncation depth {config.depth}")
-    var = _the_var(f, var)
-    jet = _jet_at(f, x0, var, config)
+    var, _, plan = _the_var(f, var)
+    jet = _jet_at(f, x0, var, config, plan)
+    if any(q < 0 or q < order and not isinstance(q, int) for q, _ in jet.terms):
+        raise DomainError(f"{render_expr(f)} is not smooth at {x0}: its jet there is {jet}")
     return jet.coefficient(order) * math.factorial(order)
 
 
-def _leading_order(f: Expr, x: float, var: str, config: FieldConfig) -> int:
+def _leading_order(f: Expr, x: float, var: str, config: FieldConfig, plan: "dict | None" = None) -> int:
     """Order k of the first nonvanishing derivative beyond f', or 0 if none.
 
     A jet with a term at a fractional order (sqrt(x) at 0 has eps^(1/2)) is
     not a Taylor jet: f is not smooth at x, and no integer k describes it.
     """
     try:
-        jet = _jet_at(f, x, var, config)
+        jet = _jet_at(f, x, var, config, plan)
     except LevicalcError:
         return 0
     if any(not isinstance(q, int) for q, _ in jet.terms):
@@ -166,13 +169,14 @@ def _on_grid(f: Expr, var: str, xs: np.ndarray, plan: "dict | None" = None) -> n
     The grid is walked in chunks of _CHUNK points, each chunk by one
     `_evaluate` that computes every shared node of f once (``plan`` is
     `_sharing_plan(f)`, built here when not given; a hash-consed derivative
-    shares every repeated subterm).  Every operation is elementwise, and
-    integer powers are taken by squaring in both (`expr._real_pow`), so the
-    values are those of one whole-array eval_real, bit for bit.  A chunk
-    that raises makes the whole grid be evaluated at once, so the error
-    reported is the one the whole-array walk meets first.  A constant f is
-    broadcast.  An inf or nan anywhere raises NotFinite, so an overflow
-    never reaches a scan, an argmax or a sum as a plausible number.
+    shares every repeated subterm; an empty plan means no memo).  Every
+    operation is elementwise, and integer powers are taken by squaring in
+    both (`expr._real_pow`), so the values are those of one whole-array
+    eval_real, bit for bit.  A chunk that raises makes the whole grid be
+    evaluated at once, so the error reported is the one the whole-array
+    walk meets first.  A constant f is broadcast.  An inf or nan anywhere
+    raises NotFinite, so an overflow never reaches a scan, an argmax or a
+    sum as a plausible number.
     """
     if plan is None:
         plan = _sharing_plan(f)
@@ -180,7 +184,7 @@ def _on_grid(f: Expr, var: str, xs: np.ndarray, plan: "dict | None" = None) -> n
     with np.errstate(over="ignore", invalid="ignore"):
         try:
             for i in range(0, len(xs), _CHUNK):
-                vals[i:i + _CHUNK] = _evaluate(f, {var: xs[i:i + _CHUNK]}, _REALS, dict(plan))
+                vals[i:i + _CHUNK] = _evaluate(f, {var: xs[i:i + _CHUNK]}, _REALS, dict(plan) if plan else None)
         except LevicalcError:
             eval_real(f, {var: xs})  # raises the error the unchunked walk meets first
             raise
@@ -245,7 +249,7 @@ def mvt_theta_real(f: Expr, x: float, h: float, var: "str | None" = None,
     """
     if h == 0:
         raise ValueError("h must be nonzero")
-    var = _the_var(f, var)
+    var, _, plan = _the_var(f, var)
     fp = symbolic_derivative(f, var)
     f_x = eval_real(f, {var: x})
     delta_f = eval_real(f, {var: x + h}) - f_x
@@ -260,7 +264,7 @@ def mvt_theta_real(f: Expr, x: float, h: float, var: "str | None" = None,
         values = delta_f - h * _on_grid(fp, var, x + grid * h)
     if not np.isfinite(values).all():  # delta_f or h * f' overflowed
         raise NotFinite(f"the mean-value residual of {render_expr(f)} is not finite on [{x}, {x + h}]")
-    k = _leading_order(f, x, var, config)
+    k = _leading_order(f, x, var, config, plan)
 
     if np.max(np.abs(values)) <= max(tol, 1e-13 * max(scale, abs(f_x))):
         return ThetaResult(0.5, g(0.5), k, degenerate=k == 0)
@@ -315,14 +319,15 @@ def mvt_theta_infinitesimal(f: Expr, x: float, h: "LCNumber | None" = None,
     config = h.config
     if h.is_zero or h.leading_exponent <= 0:
         raise ValueError("h must be a nonzero infinitesimal")
-    var = _the_var(f, var)
+    var, _, plan = _the_var(f, var)
 
-    k = _leading_order(f, x, var, config)
-    fp = symbolic_derivative(f, var)
+    k = _leading_order(f, x, var, config, plan)
+    table = {}  # f' and f'' share one hash-consing table
+    fp = symbolic_derivative(f, var, table)
     fp_plan = _sharing_plan(fp)
     x_lc = LCNumber.from_real(x, config)
     f_x = LCNumber.from_real(eval_real(f, {var: x}), config)
-    delta_f = field.sub(eval_hyper(f, {var: field.add(x_lc, h)}, config), f_x)
+    delta_f = field.sub(eval_hyper(f, {var: field.add(x_lc, h)}, config, plan), f_x)
 
     def residual(theta: LCNumber) -> LCNumber:
         shifted = field.add(x_lc, field.mul(theta, h))
@@ -333,7 +338,7 @@ def mvt_theta_infinitesimal(f: Expr, x: float, h: "LCNumber | None" = None,
         return ThetaResult(theta, residual(theta), 0, degenerate=True)
 
     theta = LCNumber.from_real((k + 1) ** (-1.0 / k), config)
-    fpp = symbolic_derivative(fp, var)
+    fpp = symbolic_derivative(fp, var, table)
     fpp_plan = _sharing_plan(fpp)
     q = h.leading_exponent
     exact = q  # theta is correct below eps^exact
@@ -370,8 +375,7 @@ def evt_max(f: Expr, a: float, b: float, grid: int = 1000, max_rounds: int = 40,
         raise ValueError("tol_x must be >= 0")
     if not (b - a) / grid > 0:
         raise ValueError("need a < b, with cells of nonzero width")
-    var = _the_var(f, var)
-    plan = _sharing_plan(f)
+    var, _, plan = _the_var(f, var)
     lo, hi = a, b
     trace = []
     prev_x = None
@@ -437,11 +441,10 @@ def riemann_integral(f: Expr, a: float, b: float,
             raise ValueError("schedule entries must be integers") from None
         if not schedule or schedule[0] < 1 or any(H >= G for H, G in zip(schedule, schedule[1:])):
             raise ValueError("schedule must be a nonempty, strictly increasing list of partition sizes >= 1")
-    var = _the_var(f, var)
+    var, names, plan = _the_var(f, var)
     if a == b:
         return IntegralResult(0.0, 0.0, schedule, [0.0] * len(schedule), False)
-    constant = var not in free_variables(f)
-    plan = _sharing_plan(f)
+    constant = var not in names
 
     def grid(H: int, js: "np.ndarray | None" = None) -> np.ndarray:
         # Float indices j are exact, and numpy multiplies them faster than ints.
@@ -498,12 +501,14 @@ def taylor_remainder_check(f: Expr, a: float, b: float, var: "str | None" = None
     term goes through riemann_integral, so the check crosses three
     independently implemented paths.
     """
-    var = _the_var(f, var)
+    var, _, plan = _the_var(f, var)
     lhs = eval_real(f, {var: b})
-    fpp = symbolic_derivative(symbolic_derivative(f, var), var)
+    table = {}  # f' and f'' share one hash-consing table
+    fpp = symbolic_derivative(symbolic_derivative(f, var, table), var, table)
     integrand = Mul(Sub(Const(b), Var(var)), fpp)
     tail = riemann_integral(integrand, a, b, schedule=schedule, var=var)
-    rhs = eval_real(f, {var: a}) + (b - a) * derivative(f, a, 1, var=var, config=config) + tail.value
+    fp_a = _jet_at(f, a, var, config, plan).coefficient(1)
+    rhs = eval_real(f, {var: a}) + (b - a) * fp_a + tail.value
     return abs(lhs - rhs)
 
 
@@ -516,10 +521,11 @@ def taylor_remainder_check_infinitesimal(f: Expr, a: float, var: "str | None" = 
     jet of f'' at a integrates term by term, sending the coefficient at t^m
     to exponent m + 2 with weight 1/((m+1)(m+2)).
     """
-    var = _the_var(f, var)
-    lhs = _jet_at(f, a, var, config)
+    var, _, plan = _the_var(f, var)
+    lhs = _jet_at(f, a, var, config, plan)
 
-    fpp = symbolic_derivative(symbolic_derivative(f, var), var)
+    table = {}
+    fpp = symbolic_derivative(symbolic_derivative(f, var, table), var, table)
     jet2 = _jet_at(fpp, a, var, config, _sharing_plan(fpp))
     integral_terms = [(m + 2, c / float((m + 1) * (m + 2))) for m, c in jet2.terms]
 

@@ -87,33 +87,53 @@ class Call(Expr):
     arg: Expr
 
 
+# Each node type's children, read by every walk that is not an evaluation.
+_CHILDREN = {**dict.fromkeys((Add, Sub, Mul, Div), operator.attrgetter("left", "right")), Pow: lambda e: (e.base,),
+             Neg: lambda e: (e.operand,), Call: lambda e: (e.arg,), Var: lambda e: (), Const: lambda e: ()}
+_PENDING = object()  # a shared node's value before its first use
+
+
 def _children(e: Expr) -> tuple:
-    if isinstance(e, (Add, Sub, Mul, Div)):
-        return e.left, e.right
-    if isinstance(e, Pow):
-        return (e.base,)
-    if isinstance(e, Neg):
-        return (e.operand,)
-    if isinstance(e, Call):
-        return (e.arg,)
-    if isinstance(e, (Var, Const)):
-        return ()
-    raise TypeError(f"not an expression node: {e!r}")
+    try:
+        return _CHILDREN[type(e)](e)
+    except KeyError:
+        raise TypeError(f"not an expression node: {e!r}") from None
+
+
+def _analysis(e: Expr) -> tuple:
+    """(the names of e's variables, e's sharing plan), from one walk that
+    visits each node object of e once: a DAG costs its distinct nodes.
+
+    The plan is {id(node): (uses, _PENDING)} for every node of e, leaves
+    aside, that is a child of several parents or twice a child of one.  A
+    copy is the memo of one walk of e (`_evaluate`), which computes a shared
+    node at its first use and drops it after its last.  The ids are valid
+    only while e is alive.  A parsed tree's plan is empty."""
+    names, leaves, uses, stack = set(), set(), {}, [e]
+    while stack:
+        node = stack.pop()
+        children = _children(node)
+        if not children:
+            leaves.add(id(node))
+            if type(node) is Var:
+                names.add(node.name)
+        for child in children:
+            key = id(child)
+            if key in uses:
+                uses[key] += 1
+            else:
+                uses[key] = 1
+                stack.append(child)
+    return names, {key: (n, _PENDING) for key, n in uses.items() if n > 1 and key not in leaves}
 
 
 def free_variables(e: Expr) -> set:
-    """The names of e's variables.  Each node object is visited once, so a
-    derivative DAG costs its distinct nodes, not its unfolded tree."""
-    names, seen, stack = set(), {id(e)}, [e]
-    while stack:
-        node = stack.pop()
-        if type(node) is Var:
-            names.add(node.name)
-        for child in _children(node):
-            if id(child) not in seen:
-                seen.add(id(child))
-                stack.append(child)
-    return names
+    """The names of e's variables: the first half of `_analysis(e)`."""
+    return _analysis(e)[0]
+
+
+def _sharing_plan(e: Expr) -> dict:  # the second half of `_analysis(e)`
+    return _analysis(e)[1]
 
 
 # -- parsing -----------------------------------------------------------------
@@ -234,31 +254,10 @@ def render_expr(e: Expr, min_prec: int = 0) -> str:
 # const lifts a constant, and div, pow and call carry the domain checks.
 _Algebra = namedtuple("_Algebra", "ops const div pow call")
 
-_PENDING = object()  # a shared node's value before its first use
-
-
-def _sharing_plan(e: Expr) -> dict:
-    """{id(node): (uses, _PENDING)} for every node of e, leaves aside, that
-    is a child of several parents or twice a child of one.  A copy is the
-    memo of one walk of e, which computes a shared node at its first use and
-    drops it after its last.  The ids are valid only while e is alive.
-    """
-    uses = {}
-    stack = [e]
-    while stack:
-        for child in _children(stack.pop()):
-            if type(child) not in (Var, Const):
-                key = id(child)
-                uses[key] = uses.get(key, 0) + 1
-                if uses[key] == 1:
-                    stack.append(child)
-    return {key: (n, _PENDING) for key, n in uses.items() if n > 1}
-
-
 # `memo` is a copy of `_sharing_plan(e)`, so each shared node is computed
-# once per walk.  Grid walks (calculus._on_grid) and field walks of
-# derivative DAGs (eval_hyper's ``plan``) pass one; scalar walks and walks of
-# parsed trees, which repeat no subterm object, pass none.
+# once per walk.  Grid walks (calculus._on_grid) and field walks (eval_hyper's
+# ``plan``) pass one when the plan is not empty; scalar walks, and walks of
+# parsed trees, whose plan is empty, pass none.
 def _evaluate(e: Expr, binding: Mapping, alg: _Algebra, memo: "dict | None" = None):
     t = type(e)
     if t is Var:
@@ -428,28 +427,25 @@ def _call_hyper(func: str, u: LCNumber) -> LCNumber:
 
 # -- symbolic differentiation --------------------------------------------------
 #
-# The smart constructors fold constants.  Given a hash-consing table, they
-# also return the table's node when it already holds one of the same type
-# and fields: subterms by identity (they are table nodes themselves), a
-# float by its bits, so 0.0 and -0.0 stay apart.  Without one they build
-# plain trees.
+# The smart constructors fold constants, and return the hash-consing table's
+# node when it already holds one of the same type and fields: subterms by
+# identity (they are table nodes themselves), a float by its bits, so 0.0
+# and -0.0 stay apart.
 
 
-def _node(table: "dict | None", key: tuple, t: type, *fields) -> Expr:
-    if table is None:
-        return t(*fields)
+def _node(table: dict, key: tuple, t: type, *fields) -> Expr:
     node = table.get(key)
     if node is None:
         node = table[key] = t(*fields)
     return node
 
 
-def _const(v, table: "dict | None" = None) -> Const:
+def _const(v, table: dict) -> Const:
     v = float(v)
     return _node(table, (Const, v.hex()), Const, v)
 
 
-def _add(a: Expr, b: Expr, table: "dict | None" = None) -> Expr:
+def _add(a: Expr, b: Expr, table: dict) -> Expr:
     if isinstance(a, Const) and isinstance(b, Const):
         return _const(a.value + b.value, table)
     if isinstance(a, Const) and a.value == 0:
@@ -459,7 +455,7 @@ def _add(a: Expr, b: Expr, table: "dict | None" = None) -> Expr:
     return _node(table, (Add, id(a), id(b)), Add, a, b)
 
 
-def _sub(a: Expr, b: Expr, table: "dict | None" = None) -> Expr:
+def _sub(a: Expr, b: Expr, table: dict) -> Expr:
     if isinstance(a, Const) and isinstance(b, Const):
         return _const(a.value - b.value, table)
     if isinstance(b, Const) and b.value == 0:
@@ -469,23 +465,16 @@ def _sub(a: Expr, b: Expr, table: "dict | None" = None) -> Expr:
     return _node(table, (Sub, id(a), id(b)), Sub, a, b)
 
 
-def _mul(a: Expr, b: Expr, table: "dict | None" = None) -> Expr:
+def _mul(a: Expr, b: Expr, table: dict) -> Expr:
     if isinstance(a, Const) and isinstance(b, Const):
         return _const(a.value * b.value, table)
-    if isinstance(a, Const):
-        if a.value == 0:
-            return _const(0, table)
-        if a.value == 1:
-            return b
-    if isinstance(b, Const):
-        if b.value == 0:
-            return _const(0, table)
-        if b.value == 1:
-            return a
+    for c, other in ((a, b), (b, a)):  # a factor 0 or 1, a's first
+        if isinstance(c, Const) and c.value in (0, 1):
+            return _const(0, table) if c.value == 0 else other
     return _node(table, (Mul, id(a), id(b)), Mul, a, b)
 
 
-def _div(a: Expr, b: Expr, table: "dict | None" = None) -> Expr:
+def _div(a: Expr, b: Expr, table: dict) -> Expr:
     if isinstance(a, Const) and a.value == 0 and not (isinstance(b, Const) and b.value == 0):
         return _const(0, table)
     if isinstance(b, Const) and b.value == 1:
@@ -495,7 +484,7 @@ def _div(a: Expr, b: Expr, table: "dict | None" = None) -> Expr:
     return _node(table, (Div, id(a), id(b)), Div, a, b)
 
 
-def _neg(a: Expr, table: "dict | None" = None) -> Expr:
+def _neg(a: Expr, table: dict) -> Expr:
     if isinstance(a, Const):
         return _const(-a.value, table)
     if isinstance(a, Neg):
@@ -503,7 +492,7 @@ def _neg(a: Expr, table: "dict | None" = None) -> Expr:
     return _node(table, (Neg, id(a)), Neg, a)
 
 
-def _pow(a: Expr, k: int, table: "dict | None" = None) -> Expr:
+def _pow(a: Expr, k: int, table: dict) -> Expr:
     if k == 0:
         return _const(1, table)
     if k == 1:
@@ -517,7 +506,7 @@ def _call(func: str, a: Expr, table: dict) -> Call:
     return _node(table, (Call, func, id(a)), Call, func, a)
 
 
-def symbolic_derivative(e: Expr, var: str) -> Expr:
+def symbolic_derivative(e: Expr, var: str, table: "dict | None" = None) -> Expr:
     """Exact derivative by structural rules; only constants get folded.
 
     The result is hash-consed (Filliatre & Conchon, "Type-safe modular
@@ -526,35 +515,40 @@ def symbolic_derivative(e: Expr, var: str) -> Expr:
     repeated subterm by id.  Each node object of e is differentiated once.
     The result is == to the tree that differentiating every occurrence
     afresh would give.
+
+    ``table`` (a fresh dict by default) also keeps each node's derivative by
+    id: f'' taken in f''s table, in one var, reuses f''s nodes instead of
+    interning f' again.  Reuse it only on its results or longer-lived trees.
     """
-    return _derivative(e, var, {}, {})[1]
+    return _derivative(e, var, {} if table is None else table)[1]
 
 
-def _derivative(e: Expr, var: str, memo: dict, table: dict) -> tuple:
-    """(e as a node of the hash-consing table, the derivative of e)."""
-    hit = memo.get(id(e))
-    if hit is None:  # every node of e stays alive for the call, so no id is reused
-        hit = memo[id(e)] = _derive_node(e, var, memo, table)
+def _derivative(e: Expr, var: str, table: dict) -> tuple:
+    """(e as a node of the hash-consing table, the derivative of e), kept under the ids of both."""
+    hit = table.get(id(e))
+    if hit is None:  # e's nodes outlive the call and the table's the table, so no id is reused
+        hit = table[id(e)] = _derive_node(e, var, table)
+        table.setdefault(id(hit[0]), hit)
     return hit
 
 
-def _derive_node(e: Expr, var: str, memo: dict, table: dict) -> tuple:
+def _derive_node(e: Expr, var: str, table: dict) -> tuple:
     t = type(e)
     if t is Const:
         return table.setdefault((Const, float(e.value).hex()), e), _const(0, table)
     if t is Var:
         return table.setdefault((Var, e.name), e), _const(1 if e.name == var else 0, table)
     if t is Pow:
-        (b, db), k = _derivative(e.base, var, memo, table), e.exponent
+        (b, db), k = _derivative(e.base, var, table), e.exponent
         u = _node(table, (Pow, id(b), k), Pow, b, k)
         if k == 0:
             return u, _const(0, table)
         return u, _mul(_mul(_const(k, table), _pow(b, k - 1, table), table), db, table)
     if t is Neg:
-        a, da = _derivative(e.operand, var, memo, table)
+        a, da = _derivative(e.operand, var, table)
         return _node(table, (Neg, id(a)), Neg, a), _neg(da, table)
     if t is Call:
-        a, da = _derivative(e.arg, var, memo, table)
+        a, da = _derivative(e.arg, var, table)
         u = _call(e.func, a, table)
         if e.func == "sin":
             outer = _call("cos", a, table)
@@ -569,7 +563,7 @@ def _derive_node(e: Expr, var: str, memo: dict, table: dict) -> tuple:
         return u, _mul(outer, da, table)
     if t not in (Add, Sub, Mul, Div):
         raise TypeError(f"not an expression node: {e!r}")
-    (a, da), (b, db) = _derivative(e.left, var, memo, table), _derivative(e.right, var, memo, table)
+    (a, da), (b, db) = _derivative(e.left, var, table), _derivative(e.right, var, table)
     u = table.get((t, id(a), id(b)))
     if u is None:  # e itself is the table's node when its children already are
         u = table[t, id(a), id(b)] = e if a is e.left and b is e.right else t(a, b)

@@ -20,7 +20,8 @@ from levicalc.calculus import (
     taylor_remainder_check_infinitesimal,
 )
 from levicalc.errors import DomainError, NotFinite, OrderTooHigh
-from levicalc.expr import Add, Call, Const, Mul, Var, eval_hyper, eval_real, parse_expr, symbolic_derivative
+from levicalc.expr import (Add, Call, Const, Expr, Mul, Var, eval_hyper, eval_real, parse_expr, render_expr,
+                           symbolic_derivative)
 from levicalc.field import coefficient_norm, eps
 
 
@@ -46,6 +47,24 @@ def test_derivative_order_bounds():
         derivative(f("exp(x)"), 0.0, 11)
     with pytest.raises(ValueError):
         derivative(f("exp(x)"), 0.0, 0)
+
+
+@pytest.mark.parametrize("src, order, jet", [("1/x", 1, "eps^(-1)"), ("sqrt(x)", 1, "eps^(1/2)"),
+                                             ("sqrt(x)", 2, "eps^(1/2)"), ("x*sqrt(x)", 2, "eps^(3/2)")])
+def test_derivative_is_not_read_off_a_jet_with_a_pole_or_a_branch(src, order, jet):
+    # The eps^order coefficient of these jets is 0, a plausible wrong answer.
+    message = f"{render_expr(f(src))} is not smooth at 0.0: its jet there is {jet}"
+    with pytest.raises(DomainError) as e:
+        derivative(f(src), 0.0, order)
+    assert str(e.value) == message
+
+
+@pytest.mark.parametrize("src, x0, order", [("x*sqrt(x)", 0.0, 1), ("sin(x)/x", 0.0, 1), ("sin(x)/x", 0.0, 2),
+                                            ("x^2*sqrt(x)", 0.0, 2), ("1/x", 2.0, 3)])
+def test_derivative_of_a_smooth_enough_jet_is_its_coefficient(src, x0, order):
+    want = {("x*sqrt(x)", 1): 0.0, ("sin(x)/x", 1): 0.0, ("sin(x)/x", 2): -1 / 3, ("x^2*sqrt(x)", 2): 0.0,
+            ("1/x", 3): -6 / 16}[src, order]
+    assert derivative(f(src), x0, order) == pytest.approx(want, abs=1e-12)
 
 
 def test_derivative_matches_central_differences():
@@ -568,6 +587,17 @@ def second_derivative(src):
     return symbolic_derivative(symbolic_derivative(f(src), "x"), "x")
 
 
+def nodes_of(e):
+    """The distinct node objects of e, leaves included, read off the dataclass fields."""
+    nodes, stack = {}, [e]
+    while stack:
+        node = stack.pop()
+        if id(node) not in nodes:
+            nodes[id(node)] = node
+            stack.extend(v for v in vars(node).values() if isinstance(v, Expr))
+    return list(nodes.values())
+
+
 def inner_nodes(e):
     """The distinct node objects of e, leaves left out, by id."""
     nodes, stack = {}, [e]
@@ -658,6 +688,104 @@ def test_field_walks_with_a_plan_give_the_same_bits(monkeypatch, src, x):
     shared = run()
     assert len(plans) == 3
     monkeypatch.setattr(calculus, "_sharing_plan", lambda e: {})
+    assert run() == shared
+
+
+class FirstGridWalk(Exception):
+    pass
+
+
+def count_visits(monkeypatch):
+    """The nodes that `_children` is called on, in order; the first walk
+    over a grid raises FirstGridWalk."""
+    visited = []
+    real_children = expr._children
+
+    def stop(e, binding, alg, memo=None):
+        raise FirstGridWalk
+
+    monkeypatch.setattr(expr, "_children", lambda e: visited.append(e) or real_children(e))
+    monkeypatch.setattr(calculus, "_evaluate", stop)
+    return visited
+
+
+@pytest.mark.parametrize("run", [lambda g: riemann_integral(g, -0.5, 1.5), lambda g: evt_max(g, -0.5, 1.5)])
+@pytest.mark.parametrize("src", COMPOSITES)
+def test_grid_operations_visit_each_node_of_f_once(monkeypatch, src, run):
+    g = f(src)
+    nodes = nodes_of(g)
+    visited = count_visits(monkeypatch)
+    with pytest.raises(FirstGridWalk):
+        run(g)
+    assert Counter(map(id, visited)) == Counter(map(id, nodes))
+
+
+@pytest.mark.parametrize("run", [lambda g: mvt_theta_real(g, -0.5, 2.0),
+                                 lambda g: taylor_remainder_check(g, -0.5, 1.5)])
+@pytest.mark.parametrize("src", COMPOSITES + ["x^3"])
+def test_each_analysed_tree_is_walked_once(monkeypatch, src, run):
+    # f is analysed for its variable, then the tree the grids walk (f', or
+    # (b - x) * f'') for its plan: two trees, each node object of each met
+    # once by its walk.
+    visited, starts = count_visits(monkeypatch), []
+    real_analysis = expr._analysis
+
+    def analysis(e):
+        starts.append((e, len(visited)))
+        return real_analysis(e)
+
+    monkeypatch.setattr(expr, "_analysis", analysis)
+    monkeypatch.setattr(calculus, "_analysis", analysis)
+    with pytest.raises(FirstGridWalk):
+        run(f(src))
+    assert len(starts) == 2 and starts[0][0] is not starts[1][0]
+    ends = [start for _, start in starts[1:]] + [len(visited)]
+    for (root, start), end in zip(starts, ends):
+        assert Counter(map(id, visited[start:end])) == Counter(map(id, nodes_of(root)))
+
+
+def test_walks_of_the_same_tree_give_one_analysis():
+    g = second_derivative(COMPOSITES[1])
+    names, plan = expr._analysis(g)
+    assert names == expr.free_variables(g) == {"x"}
+    assert plan == expr._sharing_plan(g) and plan  # a derivative DAG shares subterms
+    leaves = {id(node) for node in nodes_of(g) if isinstance(node, (Var, Const))}
+    assert not leaves & plan.keys()
+    assert expr._analysis(f(COMPOSITES[1]))[1] == {}  # a parsed tree repeats no node object
+
+
+@pytest.mark.parametrize("src", COMPOSITES + ["x^0 + y*x - 2", "log(sin(x)*x)", "x*(y*0) + x*(y*-0)"])
+def test_second_derivative_from_one_table(monkeypatch, src):
+    table, fresh = {}, symbolic_derivative(symbolic_derivative(f(src), "x"), "x")
+    fp = symbolic_derivative(f(src), "x", table)
+    fpp = symbolic_derivative(fp, "x", table)
+    assert fpp == fresh and fp == symbolic_derivative(f(src), "x")
+    nodes = [node for node in nodes_of(fpp) if not isinstance(node, (Var, Const))]
+    assert len(set(nodes)) == len(nodes)  # still hash-consed
+    # f' is not interned again: its nodes that are f's have their derivatives.
+    calls, table = [], {}
+    fp = symbolic_derivative(f(src), "x", table)
+    real_derive = expr._derive_node
+    monkeypatch.setattr(expr, "_derive_node", lambda e, var, t: calls.append(t is table) or real_derive(e, var, t))
+    symbolic_derivative(fp, "x", table)
+    symbolic_derivative(fp, "x")
+    assert calls.count(True) < calls.count(False)
+
+
+@pytest.mark.parametrize("src, x", [(src, 0.4) for src in COMPOSITES] + [
+    ("exp(x)", 0.0), ("sin(2*x) * exp(x)", 0.3), ("log(2 + sin(x)) * cos(x)^3", 0.7), ("x^3", 0.0)])
+def test_one_table_gives_the_bits_of_two(monkeypatch, src, x):
+    def bits(value):
+        return [(q, c.hex()) for q, c in value.terms] if isinstance(value, field.LCNumber) else value.hex()
+
+    def run():
+        r = mvt_theta_infinitesimal(f(src), x)
+        return (bits(r.theta), bits(r.residual), bits(taylor_remainder_check_infinitesimal(f(src), x)),
+                bits(taylor_remainder_check(f(src), x, x + 0.5)))
+
+    shared = run()
+    real = expr.symbolic_derivative  # the reference: a fresh table for every derivative
+    monkeypatch.setattr(calculus, "symbolic_derivative", lambda e, var, table=None: real(e, var))
     assert run() == shared
 
 

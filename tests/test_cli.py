@@ -31,6 +31,13 @@ def test_derive_example(capsys):
     assert out.strip() == "12"
 
 
+@pytest.mark.parametrize("src, order, err", [
+    ("1/x", "1", "DomainError: 1 / x is not smooth at 0.0: its jet there is eps^(-1)\n"),
+    ("sqrt(x)", "2", "DomainError: sqrt(x) is not smooth at 0.0: its jet there is eps^(1/2)\n")])
+def test_derive_at_a_pole_or_a_branch_is_one_domain_error(capsys, src, order, err):
+    assert run(capsys, "derive", src, "--at", "0", "--order", order) == (1, "", err)
+
+
 def test_st(capsys):
     code, out, _ = run(capsys, "st", "3 + 5*eps + eps^2")
     assert code == 0 and out.strip() == "3"

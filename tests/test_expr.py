@@ -391,32 +391,36 @@ def test_derivative_constant_folding():
 
 def tree_derivative(e, var):
     """Differentiate every occurrence afresh: the rules of symbolic_derivative
-    with no memo, as a reference."""
+    with no memo, as a reference.  Each constructor gets a fresh table, so
+    the result is a plain tree."""
     if isinstance(e, Const):
-        return _const(0)
+        return _const(0, {})
     if isinstance(e, Var):
-        return _const(1 if e.name == var else 0)
+        return _const(1 if e.name == var else 0, {})
     if isinstance(e, (Add, Sub)):
         combine = _add if isinstance(e, Add) else _sub
-        return combine(tree_derivative(e.left, var), tree_derivative(e.right, var))
+        return combine(tree_derivative(e.left, var), tree_derivative(e.right, var), {})
     if isinstance(e, Mul):
-        return _add(_mul(tree_derivative(e.left, var), e.right), _mul(e.left, tree_derivative(e.right, var)))
+        return _add(_mul(tree_derivative(e.left, var), e.right, {}),
+                    _mul(e.left, tree_derivative(e.right, var), {}), {})
     if isinstance(e, Div):
-        num = _sub(_mul(tree_derivative(e.left, var), e.right), _mul(e.left, tree_derivative(e.right, var)))
-        return _div(num, _pow(e.right, 2))
+        num = _sub(_mul(tree_derivative(e.left, var), e.right, {}),
+                   _mul(e.left, tree_derivative(e.right, var), {}), {})
+        return _div(num, _pow(e.right, 2, {}), {})
     if isinstance(e, Pow):
         if e.exponent == 0:
-            return _const(0)
-        return _mul(_mul(_const(e.exponent), _pow(e.base, e.exponent - 1)), tree_derivative(e.base, var))
+            return _const(0, {})
+        power = _mul(_const(e.exponent, {}), _pow(e.base, e.exponent - 1, {}), {})
+        return _mul(power, tree_derivative(e.base, var), {})
     if isinstance(e, Neg):
-        return _neg(tree_derivative(e.operand, var))
+        return _neg(tree_derivative(e.operand, var), {})
     du, u = tree_derivative(e.arg, var), e.arg
     if e.func == "log":
-        return _div(du, u)
+        return _div(du, u, {})
     if e.func == "sqrt":
-        return _div(du, _mul(_const(2), Call("sqrt", u)))
-    outer = {"sin": Call("cos", u), "cos": _neg(Call("sin", u)), "exp": Call("exp", u)}[e.func]
-    return _mul(outer, du)
+        return _div(du, _mul(_const(2, {}), Call("sqrt", u), {}), {})
+    outer = {"sin": Call("cos", u), "cos": _neg(Call("sin", u), {}), "exp": Call("exp", u)}[e.func]
+    return _mul(outer, du, {})
 
 
 @pytest.mark.parametrize("src", ["exp(x) * sin(3*x) / (1 + x^2)", "sqrt(2 + sin(x)^2) * log(3 + x)",
