@@ -247,6 +247,7 @@ def mvt_theta_real(f: Expr, x: float, h: float, var: "str | None" = None,
     ``degenerate`` is set only when no derivative past f' is nonzero at x
     (``leading_order`` 0); otherwise the computed leading order is reported.
     """
+    _require_finite("x, h and x + h", x, h, x + h)
     if h == 0:
         raise ValueError("h must be nonzero")
     var, _, plan = _the_var(f, var)
@@ -312,6 +313,7 @@ def mvt_theta_infinitesimal(f: Expr, x: float, h: "LCNumber | None" = None,
     the ``degenerate`` flag set.  A jet of f at x with a fractional order (f
     is not smooth at x, as sqrt at 0) raises DomainError instead.
     """
+    _require_finite("x", x)
     if h is None:
         h = field.eps(config)
     if not isinstance(h, LCNumber):
@@ -521,6 +523,7 @@ def taylor_remainder_check_infinitesimal(f: Expr, a: float, var: "str | None" = 
     jet of f'' at a integrates term by term, sending the coefficient at t^m
     to exponent m + 2 with weight 1/((m+1)(m+2)).
     """
+    _require_finite("a", a)
     var, _, plan = _the_var(f, var)
     lhs = _jet_at(f, a, var, config, plan)
 

@@ -111,19 +111,23 @@ def _read_config_file(path: str) -> dict:
             key = key.strip().replace("-", "_")
             if key not in _CONFIG_KEYS:
                 raise LevicalcError(f"{path}:{lineno}: unknown config key {key!r}")
-            values[key] = value.strip()
+            values[key] = lineno, value.strip()
     return values
 
 
 def _resolve_settings(args) -> tuple:
     """The field config and output format.  Each setting the command takes
     comes from its flag, else from the config file: file values are cast
-    and stored in ``args``."""
+    (one that does not is a ValueError at its line) and stored in ``args``."""
     path = args.config or os.environ.get(CONFIG_ENV_VAR)
     file_values = _read_config_file(path) if path else {}
     for key, cast in _CONFIG_KEYS.items():
         if key in file_values and hasattr(args, key) and getattr(args, key) is None:
-            setattr(args, key, cast(file_values[key]))
+            lineno, text = file_values[key]
+            try:
+                setattr(args, key, cast(text))
+            except ValueError as e:
+                raise ValueError(f"{path}:{lineno}: bad value for {key!r}: {e}") from None
     given = {name: getattr(args, name) for name in ("depth", "max_terms", "zero_tol", "eq_tol")}
     config = FieldConfig(**{name: value for name, value in given.items() if value is not None})
     fmt = args.format or "text"

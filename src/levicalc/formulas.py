@@ -85,8 +85,8 @@ class Formula:
 # -- parsing -----------------------------------------------------------------
 
 # Precedence and keyword of each binary connective, read by the parser (as
-# _JOINS) and by _render_matrix: "=>" groups to the right, "or" and "and" to
-# the left.  "not" binds at 4, above all of them.
+# _JOINS), by _render_matrix and by _matrix_source: "=>" groups to the right,
+# "or" and "and" to the left.  "not" binds at 4, above all of them.
 _CONNECTIVES = {Implies: (1, "=>"), Or: (2, "or"), And: (3, "and")}
 _JOINS = {word: (prec, node) for node, (prec, word) in _CONNECTIVES.items()}
 
@@ -468,31 +468,33 @@ def _bind(binding, eps_value) -> tuple:
     return binding, reals
 
 
-def _compile(node, config: FieldConfig, inner=None, scopes=None):
-    """The matrix as one predicate of (binding, reals), generated from
-    _matrix_source.  Connectives short-circuit left to right; an atom
-    without eps compares floats (``field.compare_real``) when ``reals`` is
-    given, field values (``field.compare``) otherwise.
+def _compile(node, config: FieldConfig, inner=None):
+    """The matrix as one predicate ``holds(binding, reals, s0=None, s1=None)``
+    generated from _matrix_source.  Connectives short-circuit left to right;
+    an atom without eps compares floats (``field.compare_real``) when
+    ``reals`` is given, field values (``field.compare``) otherwise.
 
     ``inner`` names the variables of a check's innermost block when outer
-    blocks bind the rest; ``scopes`` is then [outer scope, sample scope].  A
-    side in none of the innermost variables is kept in the outer scope,
-    which the loop empties under each new outer binding; one in innermost
-    variables alone in its drawn sample's scope, shared by every witness
-    candidate that replays the sample.  Either is computed at its first read
-    (so a guard still protects it), once per path, and sides that render
-    alike share the entry.  A bare-variable side is read from the binding.
+    blocks bind the rest; the caller then passes two dicts, the outer scope
+    s0 and the sample's scope s1, and the predicate keeps nothing between
+    calls.  A side in none of the innermost variables is kept in s0, which
+    the loop makes anew under each new outer binding; one in innermost
+    variables alone in s1, shared by every witness candidate that replays
+    the sample.  Either is computed at its first read (so a guard still
+    protects it), once per path, and sides that render alike share the
+    entry.  A bare-variable side is read from the binding.
     """
     source, values = _matrix_source(node, inner)
-    return _maker(source)(config, scopes, *values)
+    return _maker(source)(config, *values)
 
 
 def _matrix_source(node, inner) -> tuple:
-    """The source of ``make(config, scopes, v0, v1, ...)``, which returns the
+    """The source of ``make(config, v0, v1, ...)``, which returns the
     predicate, and the values of v0, v1, ...: Exprs, variable names and
     accepted orders.  No formula text enters the source, so one ``make``
     serves every matrix of its shape.  A cached side is kept in s0 (outer)
-    or s1 (sample) under an index per rendering and path."""
+    or s1 (sample) under an index per rendering and path.  Every operand
+    of a connective is parenthesized, so no precedence is tracked."""
     slots, kept = {}, {}  # a value's key -> (parameter, value); a cached side's -> (Expr, index)
     evaluate = {"reals": "eval_real({}, reals)", "binding": "_eval_hyper({}, binding, config)"}
 
@@ -509,9 +511,7 @@ def _matrix_source(node, inner) -> tuple:
         compute, store = evaluate[path].format(slot(e, id(e))), f"s{scope}"
         return f"({store}[{key}] if {key} in {store} else {store}.setdefault({key}, {compute}))"
 
-    def matrix(node, scalar_path: bool, min_prec: int = 0) -> str:
-        """node's source, in parentheses when its precedence (1 for or, 2
-        for and, 3 for not, 4 for an atom) is below min_prec."""
+    def matrix(node, scalar_path: bool) -> str:
         if isinstance(node, Atom):
             accept = field.ACCEPTS.get(node.op)
             if accept is None:
@@ -522,21 +522,17 @@ def _matrix_source(node, inner) -> tuple:
             order = f"field.compare_real({sides}, config)" if path == "reals" else f"field.compare({sides})"
             return f"{order} in {slot(accept, ('accept', node.op))}"
         if isinstance(node, Not):
-            prec, text = 3, f"not {matrix(node.operand, scalar_path, 3)}"
-        elif isinstance(node, Implies):
-            prec, text = 1, f"not {matrix(node.left, scalar_path, 3)} or {matrix(node.right, scalar_path, 1)}"
-        elif isinstance(node, (And, Or)):
-            prec, word = (2, "and") if isinstance(node, And) else (1, "or")
-            text = f"{matrix(node.left, scalar_path, prec)} {word} {matrix(node.right, scalar_path, prec)}"
-        else:
+            return f"not ({matrix(node.operand, scalar_path)})"
+        if type(node) not in _CONNECTIVES:
             raise TypeError(f"not a matrix node: {node!r}")
-        return f"({text})" if prec < min_prec else text
+        left, right = (f"({matrix(operand, scalar_path)})" for operand in (node.left, node.right))
+        word = _CONNECTIVES[type(node)][1]
+        return f"not {left} or {right}" if word == "=>" else f"{left} {word} {right}"
 
     on_fields, on_reals = matrix(node, False), matrix(node, True)
     body = on_fields if on_reals == on_fields else f"{on_reals} if reals is not None else {on_fields}"
     names, values = zip(*slots.values())  # every atom has a slot
-    reads = "        s0, s1 = scopes\n" if kept else ""
-    return (f"def make(config, scopes, {', '.join(names)}):\n    def holds(binding, reals):\n{reads}"
+    return (f"def make(config, {', '.join(names)}):\n    def holds(binding, reals, s0=None, s1=None):\n"
             f"        try:\n            return {body}\n        except LevicalcError as e:\n"
             "            raise _evaluation_error(e, binding) from e\n    return holds\n"), values
 
@@ -577,17 +573,15 @@ def _blocks(prefix):
 
 class _Game:
     """What one check sets up once: the quantifier blocks, the compiled
-    matrix and the scopes of its cached sides, each stratum's drawer and
-    the RNG, the eps binding and each stratum's coverage probes.
-    ``evaluations`` counts matrix evaluations."""
+    matrix, each stratum's drawer and the RNG, the eps binding and each
+    stratum's coverage probes.  ``evaluations`` counts matrix evaluations."""
 
-    __slots__ = ("blocks", "holds", "scopes", "rng", "draw", "cfg", "config", "eps", "probes", "evaluations")
+    __slots__ = ("blocks", "holds", "rng", "draw", "cfg", "config", "eps", "probes", "evaluations")
 
     def __init__(self, formula: Formula, cfg: SamplerConfig, config: FieldConfig):
         self.blocks = _blocks(formula.prefix)
         inner = {q.var for q in self.blocks[-1][1]} if len(self.blocks) > 1 else None
-        self.scopes = [{}, {}]
-        self.holds = _compile(formula.matrix, config, inner, self.scopes)
+        self.holds = _compile(formula.matrix, config, inner)
         self.rng = random.Random(cfg.seed)
         self.draw = {q.stratum: _drawer(q.stratum, config) for q in formula.prefix}
         self.cfg, self.config = cfg, config
@@ -708,18 +702,15 @@ def _eval_blocks(game: _Game, blocks, binding, batch=None):
                 return truth, {**assignment, **info}
         return not exists, {}
     # The innermost block runs the matrix itself.  A new outer binding, so
-    # the outer scope is emptied, and its eps entry and float projection
-    # are built once for the whole loop.  ``binding`` itself stays free of
-    # eps, since the witness candidates are drawn from its values.
-    scopes = game.scopes
-    scopes[0] = {}
+    # a new outer scope, and its eps entry and float projection are built
+    # once for the whole loop.  ``binding`` itself stays free of eps, since
+    # the witness candidates are drawn from its values.
     outer, outer_reals = _bind(binding, game.eps)
-    holds = game.holds
+    outer_scope, holds = {}, game.holds
     for assignment, reals, scope in triples:
         game.evaluations += 1
-        scopes[1] = scope
         both = None if outer_reals is None or reals is None else {**outer_reals, **reals}
-        if holds({**outer, **assignment}, both) == exists:
+        if holds({**outer, **assignment}, both, outer_scope, scope) == exists:
             return exists, dict(assignment)
     return not exists, {}
 

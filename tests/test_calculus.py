@@ -422,8 +422,17 @@ INF, NAN = math.inf, math.nan
     lambda: riemann_integral(f("sin(x)"), 0.0, NAN),
     lambda: riemann_integral(f("sin(x)"), -1e308, 1e308),
     lambda: riemann_integral(f("sin(x)"), NAN, NAN),
+    # a constant f is never evaluated at x, so nothing else would notice
+    lambda: mvt_theta_real(f("3"), NAN, 1.0),
+    lambda: mvt_theta_real(f("3"), 0.0, INF),
+    lambda: mvt_theta_real(f("3"), 1e308, 1e308),
+    lambda: mvt_theta_infinitesimal(f("3"), NAN),
+    lambda: mvt_theta_infinitesimal(f("x^2"), -INF),
+    lambda: taylor_remainder_check_infinitesimal(f("3"), NAN),
 ], ids=["derivative-nan", "derivative-inf", "evt-b-inf", "evt-a-inf", "evt-width-overflows", "evt-b-nan",
-        "integral-b-inf", "integral-b-nan", "integral-width-overflows", "integral-nan-nan"])
+        "integral-b-inf", "integral-b-nan", "integral-width-overflows", "integral-nan-nan", "mvt-real-x-nan",
+        "mvt-real-h-inf", "mvt-real-x-plus-h-overflows", "mvt-infinitesimal-x-nan", "mvt-infinitesimal-x-inf",
+        "taylor-infinitesimal-a-nan"])
 def test_calculus_takes_finite_real_arguments(call, monkeypatch):
     # rejected before any grid is built, so numpy raises no warning either
     monkeypatch.setattr(calculus, "_on_grid", None)

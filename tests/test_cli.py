@@ -219,10 +219,13 @@ def test_bad_config_file(tmp_path, capsys):
     ["integrate", "sin(x)", "--a", "0", "--b", "inf"],
     ["integrate", "sin(x)", "--a", "0", "--b", "nan"],
     ["derive", "exp(x)", "--at", "nan"],
+    ["mvt-theta", "3", "--x", "nan", "--h", "1"],
+    ["mvt-theta", "3", "--x", "nan", "--h-infinitesimal"],
+    ["taylor-check", "3", "--a", "nan", "--infinitesimal"],
 ], ids=["depth-0", "eq-tol-below-zero-tol", "config-samples-abc", "mvt-h-0", "evt-empty", "samples-0",
         "evt-grid-0", "evt-rounds-0", "evt-tol-x-negative", "eq-tol-nan-transfer-check", "eq-tol-nan",
         "zero-tol-nan", "eq-tol-inf", "evt-b-inf", "evt-width-overflows", "integrate-b-inf", "integrate-b-nan",
-        "derive-at-nan"])
+        "derive-at-nan", "mvt-x-nan", "mvt-infinitesimal-x-nan", "taylor-infinitesimal-a-nan"])
 def test_bad_values_are_one_line_errors(tmp_path, capsys, argv):
     cfg = tmp_path / "samples.conf"
     cfg.write_text("samples = abc\n")
@@ -276,6 +279,25 @@ def test_error_paths_print_one_pinned_line(tmp_path, capsys, argv, line):
     (tmp_path / "format_xml.conf").write_text("format = xml\n")
     code, out, err = run(capsys, *(arg.replace("{dir}", str(tmp_path)) for arg in argv))
     assert (code, out, err) == (1, "", line.replace("{dir}", str(tmp_path)) + "\n")
+
+
+@pytest.mark.parametrize("text, argv, line", [
+    ("# fine\ndepth = abc\n", ["st", "1"], "{path}:2: bad value for 'depth': invalid literal for int() with base 10: 'abc'"),
+    ("eq-tol = tiny\n", ["st", "1"], "{path}:1: bad value for 'eq_tol': could not convert string to float: 'tiny'"),
+    ("samples = 5\nseed = 1.5\n", ["transfer-check", f"{FORMULAS}/transfer.fof"],
+     "{path}:2: bad value for 'seed': invalid literal for int() with base 10: '1.5'"),
+], ids=["depth", "eq-tol", "seed"])
+def test_config_value_that_does_not_cast_names_its_place(tmp_path, capsys, text, argv, line):
+    cfg = tmp_path / "levicalc.conf"
+    cfg.write_text(text)
+    code, out, err = run(capsys, "--config", str(cfg), *argv)
+    assert (code, out, err) == (1, "", "ValueError: " + line.replace("{path}", str(cfg)) + "\n")
+
+
+def test_config_value_for_a_key_the_command_does_not_take_is_ignored(tmp_path, capsys):
+    cfg = tmp_path / "levicalc.conf"
+    cfg.write_text("samples = abc\nschedule = x\n")
+    assert run(capsys, "--config", str(cfg), "st", "1 + eps") == (0, "1\n", "")
 
 
 def test_one_grid_integral_json_is_strict(capsys):

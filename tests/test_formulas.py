@@ -760,9 +760,9 @@ def test_hoisted_sides_are_computed_once_per_innermost_loop(monkeypatch):
         if node is not matrix:
             return holds
 
-        def recorded(binding, reals):
+        def recorded(binding, reals, *scopes):
             evaluations.append((binding, reals))
-            return holds(binding, reals)
+            return holds(binding, reals, *scopes)
 
         return recorded
 
@@ -872,8 +872,8 @@ def test_mixed_side_is_computed_for_each_candidate(monkeypatch):
     def recording_compile(node, *args):
         holds = compile_matrix(node, *args)
 
-        def recorded(binding, reals):
-            seen.append(("holds", binding, holds(binding, reals)))
+        def recorded(binding, reals, *scopes):
+            seen.append(("holds", binding, holds(binding, reals, *scopes)))
             return seen[-1][2]
 
         return recorded if node is formula.matrix else holds
@@ -918,25 +918,63 @@ def test_atom_without_invariant_side_is_evaluated_at_every_draw(monkeypatch):
 
     monkeypatch.setattr(formulas, "eval_real", spy_real)
     monkeypatch.setattr(formulas, "_eval_hyper", spy_hyper)
-    scopes = [{}, {}]
-    holds = formulas._compile(atom, field.DEFAULT_CONFIG, {"b"}, scopes)
+    s0, s1 = {}, {}
+    holds = formulas._compile(atom, field.DEFAULT_CONFIG, {"b"})
     a = field.LCNumber.from_real(2.0)
     for b in (-1.0, 0.5, 3.0, -1.0):
         b_lc = field.LCNumber.from_real(b)
-        scopes[1] = {}  # a new draw of b
+        s1 = {}  # a new draw of b
         for path, reals in (("real", {"a": 2.0, "b": b}), ("field", None)):
             calls.clear()
-            assert holds({"a": a, "b": b_lc, "eps": field.eps()}, reals) is (2.0 * b < b * b)
+            assert holds({"a": a, "b": b_lc, "eps": field.eps()}, reals, s0, s1) is (2.0 * b < b * b)
             assert calls == [(atom.left, path), (atom.right, path)]
             # the same draw again: "b * b" is kept in its scope, "a * b" is not
             calls.clear()
-            holds({"a": a, "b": b_lc, "eps": field.eps()}, reals)
+            holds({"a": a, "b": b_lc, "eps": field.eps()}, reals, s0, s1)
             assert calls == [(atom.left, path)]
-    assert scopes[0] == {}
+    assert s0 == {}
     # with "a" innermost, "b * b" does not change and is kept in the outer scope
-    holds = formulas._compile(atom, field.DEFAULT_CONFIG, {"a"}, scopes)
-    holds({"a": a, "b": a, "eps": field.eps()}, {"a": 2.0, "b": 2.0})
-    assert len(scopes[0]) == 1
+    holds = formulas._compile(atom, field.DEFAULT_CONFIG, {"a"})
+    holds({"a": a, "b": a, "eps": field.eps()}, {"a": 2.0, "b": 2.0}, s0, s1)
+    assert len(s0) == 1
+
+
+def test_one_predicate_serves_interleaved_scopes(monkeypatch):
+    # continuity.fof line 4's matrix: "0.3 - d" is kept in the outer scope,
+    # "x^2" in the sample's.  Two outer bindings, each with a sample drawn
+    # twice, take turns on one compiled predicate; each must see the side
+    # evaluations and answers of a predicate compiled for it alone.
+    formula = parse_formula(RENAMED[0].format("e", "d", "x"))
+    calls = []
+    eval_real, eval_hyper = formulas.eval_real, formulas._eval_hyper
+    monkeypatch.setattr(formulas, "eval_real", lambda e, reals: calls.append((id(e), reals)) or eval_real(e, reals))
+    monkeypatch.setattr(formulas, "_eval_hyper",
+                        lambda e, binding, config: calls.append((id(e), None)) or eval_hyper(e, binding, config))
+
+    def events(outer):
+        lift = field.LCNumber.from_real
+        for x in (0.29, 0.31, 0.29, 0.5):
+            binding = {**{name: lift(v) for name, v in outer.items()}, "x": lift(x), "eps": field.eps()}
+            for reals in ({**outer, "x": x}, None):
+                yield binding, reals, x
+
+    def run(holds, s0, s1s, binding, reals, x):
+        calls.clear()
+        return holds(binding, reals, s0, s1s.setdefault(x, {})), list(calls)
+
+    outers = [{"e": 0.01, "d": 0.02}, {"e": 0.5, "d": 0.3}]
+    shared = formulas._compile(formula.matrix, field.DEFAULT_CONFIG, {"x"})
+    scopes = [({}, {}) for _ in outers]
+    interleaved = [[], []]
+    for pair in zip(*(events(outer) for outer in outers)):
+        for i, event in enumerate(pair):
+            interleaved[i].append(run(shared, *scopes[i], *event))
+    for i, outer in enumerate(outers):
+        alone = formulas._compile(formula.matrix, field.DEFAULT_CONFIG, {"x"})
+        s0, s1s = {}, {}
+        assert [run(alone, s0, s1s, *event) for event in events(outer)] == interleaved[i]
+    # the drawn-again sample reads "x^2" from its scope, the outer scope "0.3 - d"
+    assert len(interleaved[0][4][1]) < len(interleaved[0][0][1])
 
 
 @pytest.mark.parametrize("binding", [{"x": field.LCNumber.from_real(1.5)}, {"x": 1 + field.eps()}],
