@@ -4,7 +4,9 @@ Every operation of the library is exposed as a subcommand with scriptable
 output: ``--format json`` emits the module JSON schemas, text mode is
 human-oriented.  Runs with the same arguments and seed are byte-identical.
 Exit codes: 0 on success, 2 when a transfer check falsified a formula,
-1 on any error (including usage errors).
+1 on any error (including usage errors).  transfer-check reports a line
+whose evaluation raises as that line's error and checks the others: it
+exits 1 if any line raised, else 2 if any line was falsified, else 0.
 """
 
 from __future__ import annotations
@@ -15,7 +17,7 @@ import os
 import sys
 
 from . import calculus, field, formulas
-from .errors import BindingError, LevicalcError, ParseError
+from .errors import BindingError, EvaluationError, LevicalcError, ParseError
 from .expr import eval_hyper, parse_expr
 from .field import FieldConfig
 from .lexer import NAME_START, scan
@@ -246,22 +248,27 @@ def _cmd_transfer_check(args, config, fmt) -> int:
     sampler = formulas.SamplerConfig(**{name: value for name, value in given.items() if value is not None})
 
     reports = []
-    any_falsified = False
     for lineno, src, formula in parsed:
-        report = formulas.check(formula, sampler, config)
-        reports.append({"line": lineno, "formula": src, **report.to_json()})
-        any_falsified = any_falsified or report.verdict == "falsified"
+        try:
+            outcome = formulas.check(formula, sampler, config).to_json()
+        except EvaluationError as e:
+            outcome = {"error": f"{type(e).__name__}: {e}"}
+        reports.append({"line": lineno, "formula": src, **outcome})
+    errors = sum("error" in entry for entry in reports)
     if fmt == "json":
         print(json.dumps(reports))
     else:
         for entry in reports:
-            line = f"line {entry['line']}: {entry['verdict']}  {entry['formula']}"
+            line = f"line {entry['line']}: {entry.get('verdict', 'error')}  {entry['formula']}"
             for key in ("counterexample", "witness", "assignment"):
                 if key in entry:
                     rendered = ", ".join(f"{k} = {v}" for k, v in entry[key].items())
                     line += f"\n  {key}: {rendered}"
-            print(line)
-    return 2 if any_falsified else 0
+            if errors < len(reports):  # a file with no line checked prints its errors alone
+                print(line, flush=True)
+            if "error" in entry:
+                print(entry["error"], file=sys.stderr, flush=True)
+    return 1 if errors else 2 if any(entry.get("verdict") == "falsified" for entry in reports) else 0
 
 
 _COMMANDS = {

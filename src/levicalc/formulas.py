@@ -285,17 +285,6 @@ class SamplerConfig:
             raise ValueError(f"seed must be an integer, got {self.seed!r}")
 
 
-def _below(bits, n: int) -> int:
-    """A uniform integer in [0, n) by rejection on ``bits``, a generator's
-    ``getrandbits``: the algorithm of ``randrange(n)``, so it makes the same
-    draws and leaves the generator in the same state."""
-    k = n.bit_length()
-    r = bits(k)
-    while r >= n:
-        r = bits(k)
-    return r
-
-
 def _draw_coef(rand, bound: float, positive: bool, zero_tol: float) -> float:
     """Uniform on [-bound, bound] by ``uniform``'s formula on ``rand``, a
     generator's ``random``, drawn again until its magnitude is at least 0.05
@@ -308,44 +297,9 @@ def _draw_coef(rand, bound: float, positive: bool, zero_tol: float) -> float:
             return m if positive else c
 
 
-def _draw_exponent(bits) -> tuple:
-    """A positive exponent num/den, den <= _EXP_DEN_BOUND, as (num, den)."""
-    den = 1 + _below(bits, _EXP_DEN_BOUND)
-    return _below(bits, 2 * den) + 1, den
-
-
-def _draw_terms(rng, lead_exp, lead, config):
-    """The series with leading order lead_exp = (num, den) and coefficient
-    lead, plus up to two drawn higher orders, built on the integer lattice
-    1/(den * lcm of the drawn denominators) and normalized as LCNumber is."""
-    lead_num, lead_den = lead_exp
-    bits = rng.getrandbits
-    cap = 0.5 * min(abs(lead), 1.0)
-    tail = [(_draw_exponent(bits), -cap + (cap + cap) * rng.random())  # uniform(-cap, cap)
-            for _ in range(_below(bits, 3))]
-    step = math.lcm(*[den for (_, den), _ in tail])
-    den, k0 = lead_den * step, lead_num * step
-    acc = {k0: lead}
-    for (num, d), c in tail:
-        k = k0 + num * lead_den * (step // d)
-        acc[k] = acc.get(k, 0.0) + c
-    return field.from_lattice(den, acc, config)
-
-
 def _draw_real(config: FieldConfig, positive: bool, rng: random.Random) -> float:
     """A real draw's one coefficient, which is also its float projection."""
     return _draw_coef(rng.random, _SHAPES["real"][0], positive, config.zero_tol)
-
-
-def _sample_shape(shape: str, rng: random.Random, config: FieldConfig, positive: bool) -> LCNumber:
-    """One element of ``shape`` as its _SHAPES row gives it: the lead, then
-    for a series the exponent (none for sign 0) and the tail."""
-    bound, sign = _SHAPES[shape]
-    lead = _draw_coef(rng.random, bound, positive, config.zero_tol)
-    if sign is None:
-        return LCNumber.from_real(lead, config)
-    num, den = _draw_exponent(rng.getrandbits) if sign else (0, 1)
-    return _draw_terms(rng, (sign * num, den), lead, config)
 
 
 # The sampler's support, which is all that a "not-falsified" verdict
@@ -385,11 +339,15 @@ def _stratum(name: str) -> _Stratum:
 
 
 def _drawer(stratum: str, config: FieldConfig):
-    """A function of the RNG that draws one element of ``stratum``, with the
-    stratum's shapes and sign resolved once.  A composite stratum picks its
-    shape as ``shapes[int(random() * n)]``, the index that ``random.choices``
-    with cumulative weights 1, 2, ..., n returns from the same one draw
-    (``random.choice`` draws differently).
+    """A function of the RNG that draws one element of ``stratum`` in one
+    pass, straight from ``random()`` and ``getrandbits()`` as the stdlib
+    calls would: a composite stratum's shape as ``shapes[int(random() * n)]``,
+    the index ``random.choices`` with cumulative weights 1, 2, ..., n returns
+    (``random.choice`` draws differently); a coefficient by ``uniform``'s
+    formula; an integer below m by rejection on ``getrandbits(m.bit_length())``
+    as ``randrange(m)``.  A series (the lead, its exponent unless sign 0, up
+    to two higher orders) is built on the lattice 1/(den * lcm(1, ...,
+    _EXP_DEN_BOUND)) and normalized there as LCNumber is.
 
     A lead is drawn again until it clears ``max(0.05, zero_tol)``, about
     ``bound / (bound - max(0.05, zero_tol))`` times on average, where
@@ -403,11 +361,49 @@ def _drawer(stratum: str, config: FieldConfig):
     if not bound > config.zero_tol:
         raise ValueError(f"zero_tol {config.zero_tol:g} leaves no leading coefficient in "
                          f"[-{bound:g}, {bound:g}] to draw for stratum '{stratum}'")
-    if len(shapes) == 1:
-        shape = shapes[0]
-        return lambda rng: _sample_shape(shape, rng, config, positive)
-    n = len(shapes)
-    return lambda rng: _sample_shape(shapes[int(rng.random() * n)], rng, config, positive)
+    rows, n, dens, lc, gcd = [_SHAPES[s] for s in shapes], len(shapes), _EXP_DEN_BOUND, field._lc, math.gcd
+    zt, depth, max_terms, grid = config.zero_tol, config.depth, config.max_terms, math.lcm(*range(1, dens + 1))
+    width, widths = dens.bit_length(), [(2 * d).bit_length() for d in range(dens + 1)]
+
+    def draw(rng):
+        random, bits = rng.random, rng.getrandbits
+        bound, sign = rows[int(random() * n)] if n > 1 else rows[0]
+        while True:
+            lead = -bound + (bound + bound) * random()
+            m = lead if lead >= 0 else -lead
+            if m >= 0.05 and m > zt:
+                break
+        if positive:
+            lead = m
+        if sign is None:
+            return lc(1, ((0, lead),), config)
+        num, den = 0, 1
+        if sign:
+            while (den := bits(width) + 1) > dens:
+                pass
+            while (num := bits(widths[den])) >= 2 * den:
+                pass
+            num = sign * (num + 1)
+        cap, lattice, k0 = 0.5 * min(m, 1.0), den * grid, num * grid
+        while (count := bits(2)) > 2:
+            pass
+        pairs, g = [(k0, lead)], gcd(lattice, k0)
+        if count:
+            tail, last = {}, k0 + depth * lattice
+            for _ in range(count):
+                while (d := bits(width) + 1) > dens:
+                    pass
+                while (t := bits(widths[d])) >= 2 * d:
+                    pass
+                k = k0 + (t + 1) * (lattice // d)
+                tail[k] = tail.get(k, 0.0) + (-cap + (cap + cap) * random())
+            for k, c in sorted(tail.items()):
+                if (c if c >= 0 else -c) > zt and k <= last and len(pairs) < max_terms:
+                    pairs.append((k, c))
+                    g = gcd(g, k)
+        return lc(lattice // g, tuple(pairs) if g == 1 else tuple((k // g, c) for k, c in pairs), config)
+
+    return draw
 
 
 def sample(stratum: str, cfg: "SamplerConfig | None" = None, rng: "random.Random | None" = None,
@@ -468,27 +464,32 @@ def _bind(binding, eps_value) -> tuple:
     return binding, reals
 
 
-def _compile(node, config: FieldConfig, inner=None):
-    """The matrix as one predicate ``holds(binding, reals, s0=None, s1=None)``
-    generated from _matrix_source.  Connectives short-circuit left to right;
-    an atom without eps compares floats (``field.compare_real``) when
-    ``reals`` is given, field values (``field.compare``) otherwise.
+def _compile(node, config: FieldConfig, inner=None, cache: bool = True):
+    """The matrix as one predicate ``holds(outer, sample, outer_reals,
+    reals, s0=None, s1=None)`` generated from _matrix_source: ``outer``
+    binds eps and the outer blocks' variables, ``sample`` the innermost
+    block's, each with its float projection (None unless every value is
+    real).  Connectives short-circuit left to right; an atom without eps
+    compares floats (``field.compare_real``) when both projections are
+    given, field values (``field.compare``) otherwise.
 
-    ``inner`` names the variables of a check's innermost block when outer
-    blocks bind the rest; the caller then passes two dicts, the outer scope
-    s0 and the sample's scope s1, and the predicate keeps nothing between
-    calls.  A side in none of the innermost variables is kept in s0, which
-    the loop makes anew under each new outer binding; one in innermost
-    variables alone in s1, shared by every witness candidate that replays
-    the sample.  Either is computed at its first read (so a guard still
-    protects it), once per path, and sides that render alike share the
-    entry.  A bare-variable side is read from the binding.
+    ``inner`` names the sample's variables; without it the predicate merges
+    the two bindings at each call.  With it, a side reads the mapping that
+    binds its variables (both merged only for a side that mixes them or a
+    sample side with eps on the field path).  With ``cache`` too (a check
+    with outer blocks) the caller passes two dicts, the outer scope s0 and
+    the sample's scope s1, and the predicate keeps nothing between calls.
+    A side in none of the sample's variables is kept in s0, which the loop
+    makes anew under each new outer binding; one in sample variables alone
+    in s1, shared by every witness candidate that replays the sample.
+    Either is computed at its first read (so a guard still protects it),
+    once per path, and sides that render alike share the entry.
     """
-    source, values = _matrix_source(node, inner)
+    source, values = _matrix_source(node, inner, cache)
     return _maker(source)(config, *values)
 
 
-def _matrix_source(node, inner) -> tuple:
+def _matrix_source(node, inner, cache: bool = True) -> tuple:
     """The source of ``make(config, v0, v1, ...)``, which returns the
     predicate, and the values of v0, v1, ...: Exprs, variable names and
     accepted orders.  No formula text enters the source, so one ``make``
@@ -496,19 +497,25 @@ def _matrix_source(node, inner) -> tuple:
     or s1 (sample) under an index per rendering and path.  Every operand
     of a connective is parenthesized, so no precedence is tracked."""
     slots, kept = {}, {}  # a value's key -> (parameter, value); a cached side's -> (Expr, index)
-    evaluate = {"reals": "eval_real({}, reals)", "binding": "_eval_hyper({}, binding, config)"}
+    evaluate = {"reals": "eval_real({}, {})", "binding": "_eval_hyper({}, {}, config)"}
+    # Per path: the outer mapping, the sample's, and the two merged.
+    reads = {"reals": ("outer_reals", "reals", "{**outer_reals, **reals}"),
+             "binding": ("outer", "sample", "{**outer, **sample}")}
+    known, cache = (set(), False) if inner is None else (inner, cache)  # without inner, outer holds both
 
     def slot(value, key) -> str:
         return slots.setdefault(key, (f"v{len(slots)}", value))[0]
 
     def side(e: Expr, free: set, path: str) -> str:
         if inner is not None and type(e) is Var:
-            return f"{path}[{slot(e.name, ('name', e.name))}]"
-        scope = 1 if inner and free & inner else 0
-        if inner is None or (scope and not free - inner <= {"eps"}):
-            return evaluate[path].format(slot(e, id(e)))
+            return f"{reads[path][e.name in inner]}[{slot(e.name, ('name', e.name))}]"
+        drawn, rest = free & known, free - known
+        scope = 1 if drawn else 0
+        mapping = reads[path][2 if drawn and rest else scope]
+        if not cache or (drawn and not rest <= {"eps"}):
+            return evaluate[path].format(slot(e, id(e)), mapping)
         e, key = kept.setdefault((render_expr(e), path), (e, len(kept)))
-        compute, store = evaluate[path].format(slot(e, id(e))), f"s{scope}"
+        compute, store = evaluate[path].format(slot(e, id(e)), mapping), f"s{scope}"
         return f"({store}[{key}] if {key} in {store} else {store}.setdefault({key}, {compute}))"
 
     def matrix(node, scalar_path: bool) -> str:
@@ -530,11 +537,15 @@ def _matrix_source(node, inner) -> tuple:
         return f"not {left} or {right}" if word == "=>" else f"{left} {word} {right}"
 
     on_fields, on_reals = matrix(node, False), matrix(node, True)
-    body = on_fields if on_reals == on_fields else f"{on_reals} if reals is not None else {on_fields}"
+    body = on_fields if on_reals == on_fields else \
+        f"{on_reals} if reals is not None and outer_reals is not None else {on_fields}"
+    merge = "" if inner is not None else ("        outer, outer_reals = {**outer, **sample}, None if outer_reals "
+                                          "is None or reals is None else {**outer_reals, **reals}\n")
     names, values = zip(*slots.values())  # every atom has a slot
-    return (f"def make(config, {', '.join(names)}):\n    def holds(binding, reals, s0=None, s1=None):\n"
+    return (f"def make(config, {', '.join(names)}):\n"
+            f"    def holds(outer, sample, outer_reals, reals, s0=None, s1=None):\n{merge}"
             f"        try:\n            return {body}\n        except LevicalcError as e:\n"
-            "            raise _evaluation_error(e, binding) from e\n    return holds\n"), values
+            "            raise _evaluation_error(e, {**outer, **sample}) from e\n    return holds\n"), values
 
 
 @lru_cache(maxsize=256)
@@ -564,7 +575,7 @@ def evaluate_matrix(node, binding: Mapping[str, LCNumber], config: FieldConfig =
         if not isinstance(u, (LCNumber, int, float)):
             raise TypeError(f"variable '{name}' is bound to a {type(u).__name__}, not a number")
     values = {name: u if isinstance(u, LCNumber) else LCNumber.from_real(u, config) for name, u in binding.items()}
-    return _compile(node, config)(*_bind(values, field.eps(config)))
+    return _compile(node, config)({"eps": field.eps(config)}, values, {}, field.project_reals(values, {}))
 
 
 def _blocks(prefix):
@@ -580,8 +591,8 @@ class _Game:
 
     def __init__(self, formula: Formula, cfg: SamplerConfig, config: FieldConfig):
         self.blocks = _blocks(formula.prefix)
-        inner = {q.var for q in self.blocks[-1][1]} if len(self.blocks) > 1 else None
-        self.holds = _compile(formula.matrix, config, inner)
+        inner = {q.var for q in self.blocks[-1][1]} if self.blocks else set()
+        self.holds = _compile(formula.matrix, config, inner, len(self.blocks) > 1)
         self.rng = random.Random(cfg.seed)
         self.draw = {q.stratum: _drawer(q.stratum, config) for q in formula.prefix}
         self.cfg, self.config = cfg, config
@@ -703,14 +714,14 @@ def _eval_blocks(game: _Game, blocks, binding, batch=None):
         return not exists, {}
     # The innermost block runs the matrix itself.  A new outer binding, so
     # a new outer scope, and its eps entry and float projection are built
-    # once for the whole loop.  ``binding`` itself stays free of eps, since
-    # the witness candidates are drawn from its values.
+    # once for the whole loop; each sample is passed beside it, unmerged.
+    # ``binding`` itself stays free of eps, since the witness candidates are
+    # drawn from its values.
     outer, outer_reals = _bind(binding, game.eps)
     outer_scope, holds = {}, game.holds
     for assignment, reals, scope in triples:
         game.evaluations += 1
-        both = None if outer_reals is None or reals is None else {**outer_reals, **reals}
-        if holds({**outer, **assignment}, both, outer_scope, scope) == exists:
+        if holds(outer, assignment, outer_reals, reals, outer_scope, scope) == exists:
             return exists, dict(assignment)
     return not exists, {}
 

@@ -25,6 +25,30 @@ def test_transfer_check_error_without_binding(capsys, tmp_path):
     assert err == "EvaluationError: DomainError: division by zero\n"
 
 
+def test_transfer_check_reports_each_line_past_an_evaluation_error(capsys, tmp_path):
+    # One line's EvaluationError is that line's outcome: the other lines keep
+    # the reports they get without it, and the exit status is 1.
+    path, alone = tmp_path / "mixed.fof", tmp_path / "alone.fof"
+    path.write_text("forall x: real. 0 <= x*x\nforall x: any. sin(x) <= 1\nforall x: real. x < 11\n")
+    alone.write_text("forall x: real. 0 <= x*x\n\nforall x: real. x < 11\n")
+    error = "EvaluationError: NotFinite: sin applied to an infinite argument (at x = eps^(-1))"
+    code, out, err = run(capsys, "transfer-check", str(path), "--seed", "5")
+    assert (code, err) == (1, error + "\n")
+    assert out == ("line 1: not-falsified  forall x: real. 0 <= x*x\n"
+                   "line 2: error  forall x: any. sin(x) <= 1\n"
+                   "line 3: not-falsified  forall x: real. x < 11\n")
+    code, out, err = run(capsys, "--format", "json", "transfer-check", str(path), "--seed", "5")
+    assert (code, err) == (1, "")
+    reports = json.loads(out)
+    assert reports[1] == {"line": 2, "formula": "forall x: any. sin(x) <= 1", "error": error}
+    assert [reports[0], reports[2]] == json.loads(run(capsys, "--format", "json", "transfer-check", str(alone),
+                                                      "--seed", "5")[1])
+    # 1 for the raising line over 2 for the falsified one
+    path.write_text("forall x: any. x*x = x\nforall x: any. sin(x) <= 1\n")
+    code, out, err = run(capsys, "transfer-check", str(path), "--seed", "5")
+    assert code == 1 and out.startswith("line 1: falsified  ") and err == error + "\n"
+
+
 def test_derive_example(capsys):
     code, out, _ = run(capsys, "derive", "x^3", "--at", "2", "--order", "1")
     assert code == 0

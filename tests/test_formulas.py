@@ -449,19 +449,26 @@ def test_sampler_matches_fraction_reference(stratum, monkeypatch):
 
 
 def test_draw_primitives_match_the_stdlib(monkeypatch):
-    # _below(n) is randrange(n), 1 + _below(3) is randint(1, 3), and a
-    # composite stratum's shape pick is the choice choices(shapes,
-    # cum_weights=[1, 2, ...]) makes: the same values and the same state
-    # over 10^5 mixed draws.
-    monkeypatch.setattr(formulas, "_sample_shape", lambda shape, rng, config, positive: shape)
-    ops = [(lambda r, n=n: formulas._below(r.getrandbits, n), lambda r, n=n: r.randrange(n)) for n in range(1, 7)]
-    ops.append((lambda r: 1 + formulas._below(r.getrandbits, 3), lambda r: r.randint(1, 3)))
+    # A composite stratum's draw is the shape that choices(shapes,
+    # cum_weights=[1, 2, ...]) picks, then that shape's own draw: the same
+    # values and the same state over 10^5 mixed draws.  The draw's integers
+    # (randrange and randint, by rejection on getrandbits) are pinned by
+    # test_sampler_matches_fraction_reference.
+    def lattice(u):
+        return u._den, u._pairs
+
+    ops = []
     for stratum in STRATA:
-        shapes = formulas._STRATA[stratum].shapes
+        shapes, _, positive = formulas._STRATA[stratum]
         if len(shapes) == 1:  # drawn without a pick
             continue
-        ops.append((formulas._drawer(stratum, field.DEFAULT_CONFIG),
-                    lambda r, s=shapes: r.choices(s, cum_weights=[1, 2, 3, 4][:len(s)])[0]))
+        alone = {}
+        for shape in shapes:  # a one-shape stratum per shape, with the stratum's sign
+            name = f"{stratum}/{shape}"
+            monkeypatch.setitem(formulas._STRATA, name, formulas._Stratum((shape,), set(), positive))
+            alone[shape] = formulas._drawer(name, field.DEFAULT_CONFIG)
+        ops.append((lambda r, draw=formulas._drawer(stratum, field.DEFAULT_CONFIG): lattice(draw(r)),
+                    lambda r, s=shapes, a=alone: lattice(a[r.choices(s, cum_weights=[1, 2, 3, 4][:len(s)])[0]](r))))
     pick, rng, ref = random.Random(5), random.Random(11), random.Random(11)
     for _ in range(100_000):
         ours, stdlib = pick.choice(ops)
@@ -745,12 +752,17 @@ def test_hoisted_sides_are_computed_once_per_innermost_loop(monkeypatch):
     calls = []
     eval_real, eval_hyper, compile_matrix = formulas.eval_real, formulas._eval_hyper, formulas._compile
 
+    # A side reads only the mapping that binds its variables, so e and d
+    # are taken from the outer binding of the evaluation under way.
+    outer = {}
+
     def spy_real(e, reals):
-        calls.append((id(e), "real", reals.get("e"), reals.get("d"), reals.get("x")))
+        calls.append((id(e), "real", outer["reals"]["e"], outer["reals"]["d"], reals.get("x")))
         return eval_real(e, reals)
 
     def spy_hyper(e, binding, config):
-        calls.append((id(e), "field", binding["e"].terms, binding["d"].terms, binding["x"].terms))
+        x = binding["x"].terms if "x" in binding else None
+        calls.append((id(e), "field", outer["binding"]["e"].terms, outer["binding"]["d"].terms, x))
         return eval_hyper(e, binding, config)
 
     evaluations = []
@@ -760,9 +772,10 @@ def test_hoisted_sides_are_computed_once_per_innermost_loop(monkeypatch):
         if node is not matrix:
             return holds
 
-        def recorded(binding, reals, *scopes):
-            evaluations.append((binding, reals))
-            return holds(binding, reals, *scopes)
+        def recorded(*bindings_and_scopes):
+            evaluations.append(bindings_and_scopes[:4])
+            outer.update(binding=bindings_and_scopes[0], reals=bindings_and_scopes[2])
+            return holds(*bindings_and_scopes)
 
         return recorded
 
@@ -786,8 +799,9 @@ def test_hoisted_sides_are_computed_once_per_innermost_loop(monkeypatch):
     # The same evaluations through the matrix compiled without caching.
     calls.clear()
     plain = compile_matrix(matrix, field.DEFAULT_CONFIG)
-    for binding, reals in evaluations:
-        plain(binding, reals)
+    for bindings in evaluations:
+        outer.update(binding=bindings[0], reals=bindings[2])
+        plain(*bindings)
     assert sum(key[0] in squares for key in calls) > 2 * len(per_sample)
     assert sum(key[0] == id(delta_low) for key in calls) > 10 * len(hoisted)
 
@@ -813,7 +827,10 @@ def _uncached(monkeypatch):
 
 # Under "forall e, exists d, forall x": a guarded side in x alone, sides in
 # x alone that raise at a probe or at a drawn sample, and a side mixing x
-# with the witness d.
+# with the witness d.  Then, with the reads of split bindings: a
+# two-variable innermost block, a side in both sample variables and eps, a
+# side mixing one sample variable with an outer one (raising), and a bare
+# outer variable.
 CACHED_SIDES = [
     "forall e: positive-real, exists d: positive-real, forall x: finite. "
     "not (x = 0) => (1/x < e + d or e + d <= 1/x)",
@@ -821,6 +838,11 @@ CACHED_SIDES = [
     "forall e: positive-real, exists d: positive-real, forall x: finite. x*d < e or e < 2 or 1/(x - 1) < e + x*x",
     "forall e: positive-real, exists d: positive-real, forall x: finite. x*d < e and -e < x*d",
     "forall e: positive, exists d: positive, forall x: any. (0 - d < x and x < d) => x*x < e",
+    "forall e: positive-real, exists d: positive-real, forall x: finite, forall y: finite. "
+    "(x*x < d and y*y < d) => x*y < e",
+    "forall e: positive, exists d: positive, forall x: any, forall y: finite. x*y*eps < e or d <= x + y + eps",
+    "forall e: positive-real, exists d: real, forall x: finite, forall y: real. x - e < y or 1/(x - d) < y",
+    "forall e: positive-real, exists d: positive-real, forall x: finite. d < x or e <= x*x",
 ]
 
 
@@ -872,8 +894,8 @@ def test_mixed_side_is_computed_for_each_candidate(monkeypatch):
     def recording_compile(node, *args):
         holds = compile_matrix(node, *args)
 
-        def recorded(binding, reals, *scopes):
-            seen.append(("holds", binding, holds(binding, reals, *scopes)))
+        def recorded(outer, sample, *projections_and_scopes):
+            seen.append(("holds", {**outer, **sample}, holds(outer, sample, *projections_and_scopes)))
             return seen[-1][2]
 
         return recorded if node is formula.matrix else holds
@@ -921,21 +943,22 @@ def test_atom_without_invariant_side_is_evaluated_at_every_draw(monkeypatch):
     s0, s1 = {}, {}
     holds = formulas._compile(atom, field.DEFAULT_CONFIG, {"b"})
     a = field.LCNumber.from_real(2.0)
+    outer = {"a": a, "eps": field.eps()}
     for b in (-1.0, 0.5, 3.0, -1.0):
         b_lc = field.LCNumber.from_real(b)
         s1 = {}  # a new draw of b
-        for path, reals in (("real", {"a": 2.0, "b": b}), ("field", None)):
+        for path, reals in (("real", {"b": b}), ("field", None)):
             calls.clear()
-            assert holds({"a": a, "b": b_lc, "eps": field.eps()}, reals, s0, s1) is (2.0 * b < b * b)
+            assert holds(outer, {"b": b_lc}, {"a": 2.0}, reals, s0, s1) is (2.0 * b < b * b)
             assert calls == [(atom.left, path), (atom.right, path)]
             # the same draw again: "b * b" is kept in its scope, "a * b" is not
             calls.clear()
-            holds({"a": a, "b": b_lc, "eps": field.eps()}, reals, s0, s1)
+            holds(outer, {"b": b_lc}, {"a": 2.0}, reals, s0, s1)
             assert calls == [(atom.left, path)]
     assert s0 == {}
     # with "a" innermost, "b * b" does not change and is kept in the outer scope
     holds = formulas._compile(atom, field.DEFAULT_CONFIG, {"a"})
-    holds({"a": a, "b": a, "eps": field.eps()}, {"a": 2.0, "b": 2.0}, s0, s1)
+    holds({"b": a, "eps": field.eps()}, {"a": a}, {"b": 2.0}, {"a": 2.0}, s0, s1)
     assert len(s0) == 1
 
 
@@ -953,14 +976,14 @@ def test_one_predicate_serves_interleaved_scopes(monkeypatch):
 
     def events(outer):
         lift = field.LCNumber.from_real
+        binding = {**{name: lift(v) for name, v in outer.items()}, "eps": field.eps()}
         for x in (0.29, 0.31, 0.29, 0.5):
-            binding = {**{name: lift(v) for name, v in outer.items()}, "x": lift(x), "eps": field.eps()}
-            for reals in ({**outer, "x": x}, None):
-                yield binding, reals, x
+            for reals in ({"x": x}, None):
+                yield binding, {"x": lift(x)}, outer, reals, x
 
-    def run(holds, s0, s1s, binding, reals, x):
+    def run(holds, s0, s1s, outer, sample, outer_reals, reals, x):
         calls.clear()
-        return holds(binding, reals, s0, s1s.setdefault(x, {})), list(calls)
+        return holds(outer, sample, outer_reals, reals, s0, s1s.setdefault(x, {})), list(calls)
 
     outers = [{"e": 0.01, "d": 0.02}, {"e": 0.5, "d": 0.3}]
     shared = formulas._compile(formula.matrix, field.DEFAULT_CONFIG, {"x"})
